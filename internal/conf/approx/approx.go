@@ -19,14 +19,28 @@ import (
 // Estimator draws Karp-Luby trials for a fixed DNF. Each trial is a
 // Bernoulli outcome whose mean is P(DNF)/S where S is the sum of
 // clause probabilities, so S·mean estimates P(DNF).
+//
+// The DNF's variables are renumbered to dense local indices once, at
+// construction, so a trial's assignment lives in flat slices stamped
+// with the trial's epoch — no map, and no clearing between trials.
 type Estimator struct {
-	d     lineage.DNF
-	src   ws.ProbSource
-	rng   *rand.Rand
-	S     float64   // sum of clause probabilities
-	cum   []float64 // cumulative clause probabilities for sampling
-	vars  []ws.VarID
-	trial map[ws.VarID]int // scratch assignment
+	rng  *rand.Rand
+	S    float64   // sum of clause probabilities
+	cum  []float64 // cumulative clause probabilities for sampling
+	taut bool      // the DNF contains the empty clause
+
+	// Read-only tables, shared by forks. Clause i is
+	// lits[start[i]:start[i+1]]; local variable x's cumulative
+	// alternative probabilities are alt[altStart[x]:altStart[x+1]].
+	lits     []localLit
+	start    []int32
+	alt      []float64
+	altStart []int32
+
+	// Scratch assignment of the current trial: slot x holds a drawn
+	// value iff its stamp equals epoch.
+	slots []slot
+	epoch uint32
 
 	// cancel, when non-nil, is polled between trial blocks (every
 	// cancelInterval trials) so a killed query aborts estimation
@@ -36,6 +50,18 @@ type Estimator struct {
 
 	// Trials counts Karp-Luby invocations, for the experiments.
 	Trials int
+}
+
+// localLit is a literal over a dense local variable index.
+type localLit struct {
+	x   int32
+	val int
+}
+
+// slot is one variable's value in the current trial.
+type slot struct {
+	val   int
+	stamp uint32
 }
 
 // cancelInterval is how many trials run between cancellation polls: a
@@ -54,18 +80,44 @@ func (e *Estimator) checkCancel() error {
 // NewEstimator prepares a Karp-Luby estimator for d. rng may be nil,
 // in which case a fixed-seed source is used (deterministic runs).
 func NewEstimator(d lineage.DNF, src ws.ProbSource, rng *rand.Rand) *Estimator {
+	return newEstimator(d.Simplify(), src, rng)
+}
+
+// newEstimator is NewEstimator over an already simplified DNF.
+func newEstimator(d lineage.DNF, src ws.ProbSource, rng *rand.Rand) *Estimator {
 	if rng == nil {
 		rng = rand.New(rand.NewSource(1))
 	}
-	d = d.Simplify()
-	e := &Estimator{d: d, src: src, rng: rng, vars: d.Vars(), trial: map[ws.VarID]int{}}
-	e.cum = make([]float64, len(d))
+	e := &Estimator{rng: rng, taut: d.HasEmptyClause(), cum: make([]float64, len(d)), start: make([]int32, 1, len(d)+1)}
 	s := 0.0
 	for i, c := range d {
 		s += c.Prob(src)
 		e.cum[i] = s
 	}
 	e.S = s
+
+	local := map[ws.VarID]int32{}
+	e.altStart = []int32{0}
+	for _, c := range d {
+		for _, l := range c {
+			x, ok := local[l.Var]
+			if !ok {
+				x = int32(len(local))
+				local[l.Var] = x
+				// Summed in alternative order, exactly as a per-draw
+				// scan would, so the cut points are the same floats.
+				acc := 0.0
+				for val := 1; val <= src.DomainSize(l.Var); val++ {
+					acc += src.Prob(l.Var, val)
+					e.alt = append(e.alt, acc)
+				}
+				e.altStart = append(e.altStart, int32(len(e.alt)))
+			}
+			e.lits = append(e.lits, localLit{x: x, val: l.Val})
+		}
+		e.start = append(e.start, int32(len(e.lits)))
+	}
+	e.slots = make([]slot, len(local))
 	return e
 }
 
@@ -87,24 +139,27 @@ func (e *Estimator) Sample() bool {
 	// Pick clause i ∝ P(Cᵢ).
 	u := e.rng.Float64() * e.S
 	i := sort.SearchFloat64s(e.cum, u)
-	if i >= len(e.d) {
-		i = len(e.d) - 1
+	if i >= len(e.cum) {
+		i = len(e.cum) - 1
 	}
-	ci := e.d[i]
-	clear(e.trial)
-	for _, l := range ci {
-		e.trial[l.Var] = l.Val
+	e.epoch++
+	if e.epoch == 0 {
+		// Stamps wrapped: forget every stale value once.
+		clear(e.slots)
+		e.epoch = 1
+	}
+	for _, l := range e.lits[e.start[i]:e.start[i+1]] {
+		e.slots[l.x] = slot{val: l.val, stamp: e.epoch}
 	}
 	// Success iff no earlier clause is satisfied.
 	for j := 0; j < i; j++ {
 		sat := true
-		for _, l := range e.d[j] {
-			v, drawn := e.trial[l.Var]
-			if !drawn {
-				v = e.sampleVar(l.Var)
-				e.trial[l.Var] = v
+		for _, l := range e.lits[e.start[j]:e.start[j+1]] {
+			s := &e.slots[l.x]
+			if s.stamp != e.epoch {
+				*s = slot{val: e.sampleVar(l.x), stamp: e.epoch}
 			}
-			if v != l.Val {
+			if s.val != l.val {
 				sat = false
 				break
 			}
@@ -116,29 +171,27 @@ func (e *Estimator) Sample() bool {
 	return true
 }
 
-// sampleVar draws an alternative of v from its marginal distribution.
-// Probability deficits map to the implicit extra alternative n+1,
-// which no literal mentions.
-func (e *Estimator) sampleVar(v ws.VarID) int {
+// sampleVar draws an alternative of local variable x from its marginal
+// distribution. Probability deficits map to the implicit extra
+// alternative n+1, which no literal mentions.
+func (e *Estimator) sampleVar(x int32) int {
 	u := e.rng.Float64()
-	n := e.src.DomainSize(v)
-	acc := 0.0
-	for val := 1; val <= n; val++ {
-		acc += e.src.Prob(v, val)
+	alt := e.alt[e.altStart[x]:e.altStart[x+1]]
+	for k, acc := range alt {
 		if u < acc {
-			return val
+			return k + 1
 		}
 	}
-	return n + 1
+	return len(alt) + 1
 }
 
 // Estimate runs exactly n trials and returns S·(successes/n), the
 // plain Karp-Luby estimate used by the fixed-budget baselines.
 func (e *Estimator) Estimate(n int) float64 {
-	if e.S == 0 || len(e.d) == 0 {
+	if e.S == 0 || len(e.cum) == 0 {
 		return 0
 	}
-	if e.d.HasEmptyClause() {
+	if e.taut {
 		return 1
 	}
 	succ := 0
@@ -183,7 +236,7 @@ func ConfStats(d lineage.DNF, src ws.ProbSource, eps, delta float64, rng *rand.R
 	if d.HasEmptyClause() {
 		return 1, SampleStats{}, nil
 	}
-	e := NewEstimator(d, src, rng)
+	e := newEstimator(d, src, rng)
 	e.cancel = cancel
 	if e.S == 0 {
 		return 0, SampleStats{}, nil

@@ -49,12 +49,17 @@ func strandRngs(seed int64, step int) []*rand.Rand {
 	return rngs
 }
 
-// fork returns an estimator sharing this one's immutable tables (DNF,
-// clause cumulative probabilities, variable list) with its own RNG and
-// scratch assignment, so strands sample concurrently without sharing
-// mutable state.
+// fork returns an estimator sharing this one's read-only tables
+// (clause cumulative probabilities, dense clause literals, cumulative
+// alternative probabilities) with its own RNG and scratch assignment,
+// so strands sample concurrently without sharing mutable state.
 func (e *Estimator) fork(rng *rand.Rand) *Estimator {
-	return &Estimator{d: e.d, src: e.src, rng: rng, S: e.S, cum: e.cum, vars: e.vars, trial: map[ws.VarID]int{}, cancel: e.cancel}
+	f := *e
+	f.rng = rng
+	f.slots = make([]slot, len(e.slots))
+	f.epoch = 0
+	f.Trials = 0
+	return &f
 }
 
 // forEachStrand runs fn(s) once per strand on up to workers
@@ -128,7 +133,7 @@ func ConfSeededStats(d lineage.DNF, src ws.ProbSource, eps, delta float64, seed 
 	if d.HasEmptyClause() {
 		return 1, SampleStats{}, nil
 	}
-	base := NewEstimator(d, src, rand.New(rand.NewSource(seed)))
+	base := newEstimator(d, src, rand.New(rand.NewSource(seed)))
 	base.cancel = cancel
 	if base.S == 0 {
 		return 0, SampleStats{}, nil

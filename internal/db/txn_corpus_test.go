@@ -104,15 +104,56 @@ type committedTxn struct {
 	stmts []string
 }
 
+// barrier is a reusable rendezvous of n goroutines: Wait returns once
+// all n have called it, then the barrier resets for the next round.
+type barrier struct {
+	mu    sync.Mutex
+	cond  *sync.Cond
+	n     int
+	count int
+	round int
+}
+
+func newBarrier(n int) *barrier {
+	b := &barrier{n: n}
+	b.cond = sync.NewCond(&b.mu)
+	return b
+}
+
+func (b *barrier) Wait() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	round := b.round
+	b.count++
+	if b.count == b.n {
+		b.count = 0
+		b.round++
+		b.cond.Broadcast()
+		return
+	}
+	for round == b.round {
+		b.cond.Wait()
+	}
+}
+
 // runTxnWorkload drives nSessions concurrent goroutines of seeded
 // transactions against d and returns the committed history (sorted by
 // engine commit sequence) plus the observed conflict count.
+//
+// Sessions run in lockstep rounds: every session finishes its previous
+// transaction, then every session BEGINs, and only then does any run
+// its statements and COMMIT. So each round's transactions share one
+// snapshot generation and overlap pairwise, whatever the scheduler
+// does; which of them conflict is then a function of the seed (shared
+// keys written in the same round), not of goroutine timing. Statements
+// and commits within a round still race freely.
 func runTxnWorkload(t *testing.T, d *Database, nSessions, txnsPerSession int, seed int64) ([]committedTxn, int64) {
 	t.Helper()
 	var mu sync.Mutex
 	var committed []committedTxn
 	var conflicts int64
 	var wg sync.WaitGroup
+	round := newBarrier(nSessions)
 	for i := 0; i < nSessions; i++ {
 		wg.Add(1)
 		go func(sess int) {
@@ -120,13 +161,14 @@ func runTxnWorkload(t *testing.T, d *Database, nSessions, txnsPerSession int, se
 			g := &txnGen{r: rand.New(rand.NewSource(seed + int64(sess))), sess: sess}
 			for n := 0; n < txnsPerSession; n++ {
 				stmts := g.txn()
+				round.Wait() // the previous round has fully finished
 				txn := d.Begin()
+				round.Wait() // every session holds this round's snapshot
 				ok := true
 				for _, src := range stmts {
-					// Force interleaving: on few cores the scheduler
-					// otherwise runs whole short transactions to
-					// completion back to back, and no snapshots ever
-					// overlap.
+					// Yield so the round's transactions also
+					// interleave statement by statement, not just
+					// at BEGIN.
 					runtime.Gosched()
 					if err := runTxnSQL(d, txn, src); err != nil {
 						t.Errorf("session %d txn %d: %q: %v", sess, n, src, err)
@@ -213,6 +255,7 @@ func TestTxnCorpusSerialReplay(t *testing.T) {
 				d := open()
 				txnWorkloadSetup(t, d, sessions)
 				history, conflicts := runTxnWorkload(t, d, sessions, txnsPerSession, seed)
+				t.Logf("%d committed, %d conflicts", len(history), conflicts)
 				if t.Failed() {
 					t.FailNow()
 				}

@@ -128,7 +128,6 @@ func New(sch *schema.Schema, nparts int, pool *Pool, open func(part int) (urel.I
 		}
 		ex.parts[p] = ps
 		fn := func() {
-			defer close(ps.done)
 			for _, st := range ex.sinks {
 				st.WorkersBusy.Add(1)
 			}
@@ -139,10 +138,11 @@ func New(sch *schema.Schema, nparts int, pool *Pool, open func(part int) (urel.I
 			}()
 			ps.run(p, open)
 		}
+		done := func() { close(ps.done) }
 		if pool != nil {
-			ps.task = pool.Submit(fn)
+			ps.task = pool.Submit(fn, done)
 		} else {
-			go fn()
+			go func() { fn(); done() }()
 		}
 	}
 	return ex

@@ -204,7 +204,7 @@ func TestExchangeCloseCancelsQueuedTasks(t *testing.T) {
 		t.Fatalf("pool.Busy = %d after Close, want 0", b)
 	}
 	// Give a would-be stray worker a chance to run a cancelled task.
-	pool.Submit(func() {})
+	pool.Submit(func() {}, nil)
 	time.Sleep(10 * time.Millisecond)
 	if q := pool.Queued(); q != 0 {
 		t.Fatalf("pool.Queued = %d after Close, want 0", q)

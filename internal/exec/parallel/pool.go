@@ -24,6 +24,7 @@ import (
 type Task struct {
 	claimed atomic.Bool
 	fn      func()
+	done    func() // completion signal; nil if the submitter has none
 }
 
 // Pool runs submitted tasks on at most Size concurrent worker
@@ -76,8 +77,14 @@ func (p *Pool) PoolRuns() int64 { return p.ranPool.Load() }
 // Submit enqueues fn and returns immediately; fn runs on a pool worker
 // when one frees up, unless the caller claims it first with RunInline
 // or Cancel. Submit never blocks.
-func (p *Pool) Submit(fn func()) *Task {
-	t := &Task{fn: fn}
+//
+// done, when non-nil, is the task's completion signal: whoever runs fn
+// calls done right after it, and a pool worker does so only once its
+// Busy gauge no longer counts the task. So a waiter woken by done never
+// observes the task as busy. ClaimInline and Cancel do not call done;
+// the claiming party completes the task itself.
+func (p *Pool) Submit(fn, done func()) *Task {
+	t := &Task{fn: fn, done: done}
 	p.queued.Add(1)
 	p.mu.Lock()
 	p.queue = append(p.queue, t)
@@ -132,6 +139,14 @@ func (p *Pool) worker() {
 		t.fn()
 		p.ranPool.Add(1)
 		p.busy.Add(-1)
+		t.complete()
+	}
+}
+
+// complete signals the task's completion, if it has a signal.
+func (t *Task) complete() {
+	if t.done != nil {
+		t.done()
 	}
 }
 
@@ -144,6 +159,7 @@ func (p *Pool) RunInline(t *Task) bool {
 		return false
 	}
 	t.fn()
+	t.complete()
 	return true
 }
 
@@ -193,10 +209,7 @@ func Run(pool *Pool, n int, job func(i int) error) error {
 	tasks := make([]*Task, n)
 	for i := 0; i < n; i++ {
 		i := i
-		tasks[i] = pool.Submit(func() {
-			defer wg.Done()
-			errs[i] = job(i)
-		})
+		tasks[i] = pool.Submit(func() { errs[i] = job(i) }, wg.Done)
 	}
 	// Whatever the pool has not started yet, run here: the barrier
 	// must not wait on a queue position.

@@ -19,7 +19,6 @@ func TestPoolCapsConcurrency(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		wg.Add(1)
 		p.Submit(func() {
-			defer wg.Done()
 			c := cur.Add(1)
 			for {
 				m := max.Load()
@@ -29,7 +28,7 @@ func TestPoolCapsConcurrency(t *testing.T) {
 			}
 			time.Sleep(time.Millisecond)
 			cur.Add(-1)
-		})
+		}, wg.Done)
 	}
 	wg.Wait()
 	if m := max.Load(); m > cap {
@@ -56,9 +55,9 @@ func TestPoolRunInlineAndCancel(t *testing.T) {
 	block := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
-	p.Submit(func() { defer wg.Done(); <-block }) // occupies the only worker
+	p.Submit(func() { <-block }, wg.Done) // occupies the only worker
 	ran := false
-	tsk := p.Submit(func() { ran = true })
+	tsk := p.Submit(func() { ran = true }, nil)
 	if !p.RunInline(tsk) {
 		t.Fatal("RunInline refused a queued task")
 	}
@@ -68,7 +67,7 @@ func TestPoolRunInlineAndCancel(t *testing.T) {
 	if p.RunInline(tsk) || p.Cancel(tsk) {
 		t.Fatal("a claimed task was claimed twice")
 	}
-	cancelled := p.Submit(func() { t.Error("cancelled task ran") })
+	cancelled := p.Submit(func() { t.Error("cancelled task ran") }, nil)
 	if !p.Cancel(cancelled) {
 		t.Fatal("Cancel refused a queued task")
 	}
@@ -88,7 +87,7 @@ func TestPoolRunUnderSaturation(t *testing.T) {
 	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {
 		wg.Add(1)
-		p.Submit(func() { defer wg.Done(); <-block })
+		p.Submit(func() { <-block }, wg.Done)
 	}
 	var ran atomic.Int64
 	done := make(chan error, 1)
@@ -129,5 +128,26 @@ func TestPoolRunFirstError(t *testing.T) {
 	}
 	if err := Run(nil, 4, func(i int) error { return nil }); err != nil {
 		t.Fatalf("nil-pool Run: %v", err)
+	}
+}
+
+// A task's completion signal fires only once the Busy gauge no longer
+// counts it: when Run returns, or a done callback wakes a waiter, an
+// otherwise idle pool must already read Busy() == 0.
+func TestPoolBusyDropsBeforeCompletion(t *testing.T) {
+	p := NewPool(2)
+	for i := 0; i < 10000; i++ {
+		if err := Run(p, 4, func(int) error { return nil }); err != nil {
+			t.Fatal(err)
+		}
+		if b := p.Busy(); b != 0 {
+			t.Fatalf("round %d: Busy = %d after Run returned", i, b)
+		}
+		done := make(chan struct{})
+		p.Submit(func() {}, func() { close(done) })
+		<-done
+		if b := p.Busy(); b != 0 {
+			t.Fatalf("round %d: Busy = %d after done fired", i, b)
+		}
 	}
 }

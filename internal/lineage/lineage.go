@@ -6,8 +6,12 @@
 package lineage
 
 import (
+	"bytes"
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"maybms/internal/ws"
@@ -162,15 +166,20 @@ func (c Cond) Subsumes(o Cond) bool {
 }
 
 // Key returns a canonical string key for the condition.
-func (c Cond) Key() string {
-	var b strings.Builder
+func (c Cond) Key() string { return string(c.appendKey(nil)) }
+
+// appendKey appends the condition's canonical key — "var:val" pairs
+// joined by commas — to b without intermediate allocations.
+func (c Cond) appendKey(b []byte) []byte {
 	for i, l := range c {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		fmt.Fprintf(&b, "%d:%d", l.Var, l.Val)
+		b = strconv.AppendInt(b, int64(l.Var), 10)
+		b = append(b, ':')
+		b = strconv.AppendInt(b, int64(l.Val), 10)
 	}
-	return b.String()
+	return b
 }
 
 // String renders the condition as a conjunction.
@@ -238,37 +247,81 @@ func (d DNF) Eval(assign map[ws.VarID]int) bool {
 
 // Simplify removes duplicate clauses and applies absorption (a clause
 // subsumed by a weaker clause is dropped). The result is sorted
-// canonically. Simplification preserves the event.
+// canonically — by clause Key — and its clauses are fresh copies.
+// Simplification preserves the event.
+//
+// Every clause's key is rendered once, into one buffer; sorting by key
+// makes duplicates adjacent. Absorption indexes kept clauses by their
+// first literal: a kept k ⊆ c has k[0] ∈ c, so c is tested only
+// against kept clauses that start with one of its own literals.
 func (d DNF) Simplify() DNF {
 	if len(d) == 0 {
 		return nil
 	}
-	// Deduplicate by key.
-	uniq := make(DNF, 0, len(d))
-	seen := map[string]bool{}
-	for _, c := range d {
-		k := c.Key()
-		if !seen[k] {
-			seen[k] = true
-			uniq = append(uniq, c.Clone())
+	var keys []byte
+	off := make([]int, len(d)+1)
+	for i, c := range d {
+		keys = c.appendKey(keys)
+		off[i+1] = len(keys)
+	}
+	key := func(i int32) []byte { return keys[off[i]:off[i+1]] }
+
+	// Sort by key, ties by position, so the first occurrence of each
+	// duplicate leads its run and is the one kept.
+	order := make([]int32, len(d))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(a, b int32) int {
+		if c := bytes.Compare(key(a), key(b)); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	uniq := order[:1]
+	for _, i := range order[1:] {
+		if !bytes.Equal(key(i), key(uniq[len(uniq)-1])) {
+			uniq = append(uniq, i)
 		}
 	}
-	// Absorption: drop clauses strictly implied by a shorter clause.
-	sort.Slice(uniq, func(i, j int) bool { return len(uniq[i]) < len(uniq[j]) })
-	out := make(DNF, 0, len(uniq))
-	for _, c := range uniq {
-		absorbed := false
-		for _, kept := range out {
-			if kept.Subsumes(c) {
-				absorbed = true
-				break
+	if len(d[uniq[0]]) == 0 {
+		// The empty clause sorts first and absorbs every other clause.
+		return DNF{d[uniq[0]].Clone()}
+	}
+
+	// Absorption, shortest clauses first: a clause can be absorbed only
+	// by a strictly shorter one, and every kept clause is minimal.
+	byLen := slices.Clone(uniq)
+	slices.SortStableFunc(byLen, func(a, b int32) int { return cmp.Compare(len(d[a]), len(d[b])) })
+	kept := make([]bool, len(d))
+	byFirst := make(map[Lit][]int32)
+	total := 0
+clauses:
+	for _, i := range byLen {
+		c := d[i]
+		for _, l := range c {
+			for _, k := range byFirst[l] {
+				if d[k].Subsumes(c) {
+					continue clauses
+				}
 			}
 		}
-		if !absorbed {
-			out = append(out, c)
+		kept[i] = true
+		byFirst[c[0]] = append(byFirst[c[0]], i)
+		total += len(c)
+	}
+
+	// Copy the kept clauses, in key order, into one backing array; each
+	// clause's capacity ends at its length so appends never overlap.
+	lits := make([]Lit, 0, total)
+	out := make(DNF, 0, len(uniq))
+	for _, i := range uniq {
+		if kept[i] {
+			n := len(lits)
+			lits = append(lits, d[i]...)
+			out = append(out, Cond(lits[n:len(lits):len(lits)]))
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key() < out[j].Key() })
 	return out
 }
 
