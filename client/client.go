@@ -400,6 +400,11 @@ func (r *Rows) Next() bool {
 		case f.Done != nil:
 			r.total = f.Done.RowsStreamed
 			r.done = true
+			// The transport reuses a connection only once its response
+			// is read to EOF, and the stream's closing chunk can arrive
+			// after the Done frame; the rows are complete, so a failed
+			// drain only costs the connection.
+			_, _ = io.Copy(io.Discard, r.body)
 			r.body.Close()
 			return false
 		case f.Error != "":

@@ -81,6 +81,38 @@ func TestScalarNullPropagation(t *testing.T) {
 	}
 }
 
+// x BETWEEN a AND b is x >= a AND x <= b under three-valued logic: a
+// NULL bound leaves the result unknown only while the other comparison
+// is not already FALSE, and NOT BETWEEN negates that.
+func TestBetweenThreeValued(t *testing.T) {
+	d := New()
+	mustRun(t, d, "create table t (x int, y int); insert into t values (5, null), (20, 1)")
+	render := func(src string) string {
+		t.Helper()
+		var parts []string
+		for _, row := range rowsOf(mustRun(t, d, src).Rel) {
+			cells := make([]string, len(row))
+			for i, v := range row {
+				cells[i] = v.String()
+			}
+			parts = append(parts, strings.Join(cells, " "))
+		}
+		return strings.Join(parts, "; ")
+	}
+	cases := []struct{ src, want string }{
+		{"select x from t where x not between 10 and y order by x", "5; 20"},
+		{"select x from t where not (x >= 10 and x <= y) order by x", "5; 20"},
+		{"select x, x between 10 and y from t order by x", "5 false; 20 false"},
+		{"select x, x between 1 and y, x not between 1 and y from t order by x", "5 NULL NULL; 20 false true"},
+		{"select x from t where x between 1 and y order by x", ""},
+	}
+	for _, c := range cases {
+		if got := render(c.src); got != c.want {
+			t.Errorf("%s: got %q want %q", c.src, got, c.want)
+		}
+	}
+}
+
 func TestScalarErrors(t *testing.T) {
 	d := New()
 	bad := []string{

@@ -4,6 +4,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 
@@ -26,6 +27,10 @@ type valDump struct {
 	F float64
 	S string
 	B bool
+	// NegZero marks a FLOAT -0. gob leaves out a float field that
+	// equals zero, so F alone would load -0 as +0; every other snapshot
+	// is unchanged, since gob leaves out a false bool too.
+	NegZero bool
 }
 
 type litDump struct {
@@ -62,7 +67,8 @@ func dumpValue(v types.Value) valDump {
 	case types.KindInt:
 		return valDump{K: 1, I: v.Int()}
 	case types.KindFloat:
-		return valDump{K: 2, F: v.Float()}
+		f := v.Float()
+		return valDump{K: 2, F: f, NegZero: f == 0 && math.Signbit(f)}
 	case types.KindText:
 		return valDump{K: 3, S: v.Text()}
 	case types.KindBool:
@@ -77,6 +83,9 @@ func loadValue(d valDump) types.Value {
 	case 1:
 		return types.NewInt(d.I)
 	case 2:
+		if d.NegZero {
+			return types.NewFloat(math.Copysign(0, -1))
+		}
 		return types.NewFloat(d.F)
 	case 3:
 		return types.NewText(d.S)

@@ -962,11 +962,11 @@ func (t *Txn) update(s *sql.Update) (*Result, error) {
 	var targets []storage.RowID
 	if err := tbl.Scan(func(id storage.RowID, tup urel.Tuple) error {
 		if where != nil {
-			v, err := where.Eval(ctx, tup.Data)
+			ok, err := where.Test(ctx, tup.Data)
 			if err != nil {
 				return err
 			}
-			if v.IsNull() || !v.Truth() {
+			if !ok {
 				return nil
 			}
 		}
@@ -1012,11 +1012,11 @@ func (t *Txn) del(s *sql.Delete) (*Result, error) {
 	var targets []storage.RowID
 	if err := tbl.Scan(func(id storage.RowID, tup urel.Tuple) error {
 		if where != nil {
-			v, err := where.Eval(ctx, tup.Data)
+			ok, err := where.Test(ctx, tup.Data)
 			if err != nil {
 				return err
 			}
-			if v.IsNull() || !v.Truth() {
+			if !ok {
 				return nil
 			}
 		}

@@ -129,11 +129,11 @@ func forceGroup(n *plan.Aggregate, groups []*group) []*group {
 func (e *Executor) emitGroupRows(n *plan.Aggregate, ctx *plan.EvalCtx, out *urel.Rel, synthRows []schema.Tuple) error {
 	for _, synth := range synthRows {
 		if n.Having != nil {
-			hv, err := n.Having.Eval(ctx, synth)
+			ok, err := n.Having.Test(ctx, synth)
 			if err != nil {
 				return err
 			}
-			if hv.IsNull() || !hv.Truth() {
+			if !ok {
 				continue
 			}
 		}

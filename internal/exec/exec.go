@@ -390,11 +390,11 @@ func (e *Executor) runFilter(n *plan.Filter) (*urel.Rel, error) {
 	ctx := e.evalCtx()
 	out := urel.New(n.Sch())
 	for _, t := range in.Tuples {
-		v, err := n.Pred.Eval(ctx, t.Data)
+		ok, err := n.Pred.Test(ctx, t.Data)
 		if err != nil {
 			return nil, err
 		}
-		if !v.IsNull() && v.Truth() {
+		if ok {
 			out.Append(t)
 		}
 	}

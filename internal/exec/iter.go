@@ -271,12 +271,17 @@ func (it *renameIter) Sch() *schema.Schema        { return it.sch }
 func (it *renameIter) Next() (*urel.Batch, error) { return it.in.Next() }
 func (it *renameIter) Close() error               { return it.in.Close() }
 
-// filterIter keeps tuples whose predicate holds.
+// filterIter keeps tuples whose predicate is TRUE. It records the
+// passing positions of each input batch in a reused selection vector
+// and copies just those tuples into an exactly sized output batch; a
+// batch whose every tuple passes is handed on as it is, since the
+// caller of Next owns it.
 type filterIter struct {
 	in   urel.Iterator
 	pred *plan.Compiled
 	ctx  *plan.EvalCtx
 	sch  *schema.Schema
+	sel  []int32
 	done bool
 }
 
@@ -292,20 +297,29 @@ func (it *filterIter) Next() (*urel.Batch, error) {
 			it.done = true
 			return nil, err
 		}
-		out := make([]urel.Tuple, 0, len(b.Tuples))
-		for _, t := range b.Tuples {
-			v, err := it.pred.Eval(it.ctx, t.Data)
+		sel := it.sel[:0]
+		for i := range b.Tuples {
+			ok, err := it.pred.Test(it.ctx, b.Tuples[i].Data)
 			if err != nil {
 				it.done = true
 				return nil, err
 			}
-			if !v.IsNull() && v.Truth() {
-				out = append(out, t)
+			if ok {
+				sel = append(sel, int32(i))
 			}
 		}
-		if len(out) > 0 {
-			return &urel.Batch{Tuples: out}, nil
+		it.sel = sel
+		switch len(sel) {
+		case 0:
+			continue
+		case len(b.Tuples):
+			return b, nil
 		}
+		out := make([]urel.Tuple, len(sel))
+		for j, i := range sel {
+			out[j] = b.Tuples[i]
+		}
+		return &urel.Batch{Tuples: out}, nil
 	}
 }
 

@@ -296,11 +296,11 @@ func (b *builder) buildSort(in Node, orderBy []sql.OrderItem) (Node, error) {
 // colRefCompiled returns a compiled expression selecting column idx —
 // a pure positional read, trivially shareable across goroutines.
 func colRefCompiled(sch *schema.Schema, idx int) *Compiled {
-	return &Compiled{
+	return derive(&Compiled{
 		kind:      sch.Cols[idx].Kind,
 		eval:      func(_ *EvalCtx, row schema.Tuple) (types.Value, error) { return row[idx], nil },
 		shareable: true,
-	}
+	})
 }
 
 // buildAggregate plans a grouped query: standard SQL aggregates demand

@@ -48,8 +48,18 @@ type EvalCtx struct {
 }
 
 // Compiled is a scalar expression bound to an input schema.
+//
+// It carries two evaluators and compile derives one from the other, so
+// each form has a single implementation: eval produces the value, tri
+// the truth value in a boolean context. Boolean forms (comparisons,
+// AND/OR, NOT, IS NULL, BETWEEN, LIKE, IN, EXISTS) are written as tri
+// kernels and their eval maps TRUE/FALSE/UNKNOWN to true/false/NULL;
+// every other form is written as eval and its tri reads the value's
+// truth, NULL being UNKNOWN. An evaluator that fails returns NULL
+// (UNKNOWN) beside its error.
 type Compiled struct {
 	eval func(ctx *EvalCtx, row schema.Tuple) (types.Value, error)
+	tri  func(ctx *EvalCtx, row schema.Tuple) (types.Tri, error)
 	kind types.Kind
 	// shareable marks an expression whose evaluation closures keep no
 	// mutable state, so one Compiled may be evaluated concurrently from
@@ -68,6 +78,15 @@ func (c *Compiled) Shareable() bool { return c.shareable }
 // Eval evaluates the expression on a row.
 func (c *Compiled) Eval(ctx *EvalCtx, row schema.Tuple) (types.Value, error) {
 	return c.eval(ctx, row)
+}
+
+// Test reports whether the expression is TRUE on a row. It is the one
+// place a predicate decides whether a row passes — WHERE filters,
+// HAVING and the UPDATE/DELETE scans all call it — and FALSE and NULL
+// both reject.
+func (c *Compiled) Test(ctx *EvalCtx, row schema.Tuple) (bool, error) {
+	t, err := c.tri(ctx, row)
+	return t == types.TriTrue, err
 }
 
 // Kind returns the statically inferred result type.
@@ -90,7 +109,90 @@ func compile(e sql.Expr, sch *schema.Schema, planSub func(q sql.Query) (Node, er
 		return nil, err
 	}
 	c.shareable = exprShareable(e)
-	return c, nil
+	return derive(c), nil
+}
+
+// derive fills in whichever of c's evaluators its form did not define.
+func derive(c *Compiled) *Compiled {
+	switch {
+	case c.tri == nil:
+		eval := c.eval
+		c.tri = func(ctx *EvalCtx, row schema.Tuple) (types.Tri, error) {
+			v, err := eval(ctx, row)
+			if err != nil {
+				return types.TriNull, err
+			}
+			return types.TriOf(v), nil
+		}
+	case c.eval == nil:
+		tri := c.tri
+		c.eval = func(ctx *EvalCtx, row schema.Tuple) (types.Value, error) {
+			t, err := tri(ctx, row)
+			if err != nil {
+				return types.Null(), err
+			}
+			return t.Value(), nil
+		}
+	}
+	return c
+}
+
+// operand is one input of a comparison or IS NULL. A column, parameter
+// or literal is read in place; any other expression is evaluated into
+// the caller's scratch value.
+type operand struct {
+	src  operandSrc
+	idx  int         // column or argument index
+	lit  types.Value // srcLit
+	expr *Compiled   // srcExpr
+}
+
+type operandSrc uint8
+
+const (
+	srcExpr operandSrc = iota
+	srcCol
+	srcParam
+	srcLit
+)
+
+// operandOf describes e, already compiled to c against sch.
+func operandOf(e sql.Expr, c *Compiled, sch *schema.Schema) operand {
+	o := operand{expr: c}
+	switch e := e.(type) {
+	case sql.Lit:
+		o.src, o.lit = srcLit, e.Val
+	case sql.Param:
+		o.src, o.idx = srcParam, e.Idx
+	case sql.ColRef:
+		if idx, err := sch.Resolve(e.Rel, e.Name); err == nil {
+			o.src, o.idx = srcCol, idx
+		}
+	}
+	return o
+}
+
+// read returns a pointer to the operand's value on row, valid until
+// the row, the argument vector or *tmp changes.
+func (o *operand) read(ctx *EvalCtx, row schema.Tuple, tmp *types.Value) (*types.Value, error) {
+	switch o.src {
+	case srcCol:
+		return &row[o.idx], nil
+	case srcParam:
+		if o.idx >= len(ctx.Args) {
+			return nil, errMissingArg(o.idx)
+		}
+		return &ctx.Args[o.idx], nil
+	case srcLit:
+		return &o.lit, nil
+	}
+	v, err := o.expr.eval(ctx, row)
+	*tmp = v
+	return tmp, err
+}
+
+func errMissingArg(idx int) error {
+	return fmt.Errorf("plan: missing argument %d for parameterized plan", idx)
 }
 
 // exprShareable reports whether a compiled form of e keeps no mutable
@@ -150,7 +252,7 @@ func compile1(e sql.Expr, sch *schema.Schema, planSub func(q sql.Query) (Node, e
 			kind: e.Kind,
 			eval: func(ctx *EvalCtx, _ schema.Tuple) (types.Value, error) {
 				if idx >= len(ctx.Args) {
-					return types.Null(), fmt.Errorf("plan: missing argument %d for parameterized plan", idx)
+					return types.Null(), errMissingArg(idx)
 				}
 				return ctx.Args[idx], nil
 			},
@@ -181,15 +283,9 @@ func compile1(e sql.Expr, sch *schema.Schema, planSub func(q sql.Query) (Node, e
 				return types.Neg(v)
 			}}, nil
 		case "not":
-			return &Compiled{kind: types.KindBool, eval: func(ctx *EvalCtx, row schema.Tuple) (types.Value, error) {
-				v, err := in.eval(ctx, row)
-				if err != nil {
-					return types.Null(), err
-				}
-				if v.IsNull() {
-					return types.Null(), nil
-				}
-				return types.NewBool(!v.Truth()), nil
+			return &Compiled{kind: types.KindBool, tri: func(ctx *EvalCtx, row schema.Tuple) (types.Tri, error) {
+				t, err := in.tri(ctx, row)
+				return t.Not(), err
 			}}, nil
 		default:
 			return nil, fmt.Errorf("plan: unknown unary operator %q", e.Op)
@@ -203,13 +299,14 @@ func compile1(e sql.Expr, sch *schema.Schema, planSub func(q sql.Query) (Node, e
 		if err != nil {
 			return nil, err
 		}
-		neg := e.Negate
-		return &Compiled{kind: types.KindBool, eval: func(ctx *EvalCtx, row schema.Tuple) (types.Value, error) {
-			v, err := in.eval(ctx, row)
+		o, neg := operandOf(e.E, in, sch), e.Negate
+		return &Compiled{kind: types.KindBool, tri: func(ctx *EvalCtx, row schema.Tuple) (types.Tri, error) {
+			var tmp types.Value
+			v, err := o.read(ctx, row, &tmp)
 			if err != nil {
-				return types.Null(), err
+				return types.TriNull, err
 			}
-			return types.NewBool(v.IsNull() != neg), nil
+			return types.TriBool(v.IsNull() != neg), nil
 		}}, nil
 
 	case *sql.Between:
@@ -221,20 +318,24 @@ func compile1(e sql.Expr, sch *schema.Schema, planSub func(q sql.Query) (Node, e
 		if err != nil {
 			return nil, err
 		}
+		// x BETWEEN a AND b is x >= a AND x <= b under three-valued
+		// logic. Both bounds are evaluated, so an error in either is
+		// reported whatever the other yields.
 		neg := e.Negate
-		return &Compiled{kind: types.KindBool, eval: func(ctx *EvalCtx, row schema.Tuple) (types.Value, error) {
-			a, err := lo.eval(ctx, row)
+		return &Compiled{kind: types.KindBool, tri: func(ctx *EvalCtx, row schema.Tuple) (types.Tri, error) {
+			a, err := lo.tri(ctx, row)
 			if err != nil {
-				return types.Null(), err
+				return types.TriNull, err
 			}
-			b, err := hi.eval(ctx, row)
+			b, err := hi.tri(ctx, row)
 			if err != nil {
-				return types.Null(), err
+				return types.TriNull, err
 			}
-			if a.IsNull() || b.IsNull() {
-				return types.Null(), nil
+			t := a.And(b)
+			if neg {
+				t = t.Not()
 			}
-			return types.NewBool((a.Truth() && b.Truth()) != neg), nil
+			return t, nil
 		}}, nil
 
 	case *sql.Cast:
@@ -265,32 +366,32 @@ func compile1(e sql.Expr, sch *schema.Schema, planSub func(q sql.Query) (Node, e
 			items[i] = c
 		}
 		neg := e.Negate
-		return &Compiled{kind: types.KindBool, eval: func(ctx *EvalCtx, row schema.Tuple) (types.Value, error) {
+		return &Compiled{kind: types.KindBool, tri: func(ctx *EvalCtx, row schema.Tuple) (types.Tri, error) {
 			v, err := in.eval(ctx, row)
 			if err != nil {
-				return types.Null(), err
+				return types.TriNull, err
 			}
 			if v.IsNull() {
-				return types.Null(), nil
+				return types.TriNull, nil
 			}
 			anyNull := false
 			for _, it := range items {
 				w, err := it.eval(ctx, row)
 				if err != nil {
-					return types.Null(), err
+					return types.TriNull, err
 				}
 				if w.IsNull() {
 					anyNull = true
 					continue
 				}
 				if v.Equal(w) {
-					return types.NewBool(!neg), nil
+					return types.TriBool(!neg), nil
 				}
 			}
 			if anyNull {
-				return types.Null(), nil
+				return types.TriNull, nil
 			}
-			return types.NewBool(neg), nil
+			return types.TriBool(neg), nil
 		}}, nil
 
 	case *sql.InSubquery:
@@ -313,11 +414,11 @@ func compile1(e sql.Expr, sch *schema.Schema, planSub func(q sql.Query) (Node, e
 		}
 		neg := e.Negate
 		var cache map[string]bool // lazily materialised value set
-		return &Compiled{kind: types.KindBool, eval: func(ctx *EvalCtx, row schema.Tuple) (types.Value, error) {
+		return &Compiled{kind: types.KindBool, tri: func(ctx *EvalCtx, row schema.Tuple) (types.Tri, error) {
 			if cache == nil {
 				rel, err := ctx.Run(sub)
 				if err != nil {
-					return types.Null(), err
+					return types.TriNull, err
 				}
 				cache = make(map[string]bool, rel.Len())
 				for _, t := range rel.Tuples {
@@ -326,13 +427,13 @@ func compile1(e sql.Expr, sch *schema.Schema, planSub func(q sql.Query) (Node, e
 			}
 			v, err := in.eval(ctx, row)
 			if err != nil {
-				return types.Null(), err
+				return types.TriNull, err
 			}
 			if v.IsNull() {
-				return types.Null(), nil
+				return types.TriNull, nil
 			}
 			hit := cache[schema.Tuple{v}.Key()]
-			return types.NewBool(hit != neg), nil
+			return types.TriBool(hit != neg), nil
 		}}, nil
 
 	case *sql.Exists:
@@ -349,16 +450,16 @@ func compile1(e sql.Expr, sch *schema.Schema, planSub func(q sql.Query) (Node, e
 		neg := e.Negate
 		known := false
 		var result bool
-		return &Compiled{kind: types.KindBool, eval: func(ctx *EvalCtx, row schema.Tuple) (types.Value, error) {
+		return &Compiled{kind: types.KindBool, tri: func(ctx *EvalCtx, row schema.Tuple) (types.Tri, error) {
 			if !known {
 				rel, err := ctx.Run(sub)
 				if err != nil {
-					return types.Null(), err
+					return types.TriNull, err
 				}
 				result = rel.Len() > 0
 				known = true
 			}
-			return types.NewBool(result != neg), nil
+			return types.TriBool(result != neg), nil
 		}}, nil
 
 	case *sql.FuncCall:
@@ -383,71 +484,62 @@ func compileBinary(e *sql.Binary, sch *schema.Schema, planSub func(q sql.Query) 
 	}
 	op := e.Op
 	switch op {
-	case "and", "or":
-		isAnd := op == "and"
-		return &Compiled{kind: types.KindBool, eval: func(ctx *EvalCtx, row schema.Tuple) (types.Value, error) {
-			a, err := l.eval(ctx, row)
+	case "and":
+		return &Compiled{kind: types.KindBool, tri: func(ctx *EvalCtx, row schema.Tuple) (types.Tri, error) {
+			a, err := l.tri(ctx, row)
+			if err != nil || a == types.TriFalse {
+				return a, err
+			}
+			b, err := r.tri(ctx, row)
 			if err != nil {
-				return types.Null(), err
+				return types.TriNull, err
 			}
-			// Three-valued logic with short-circuit.
-			if !a.IsNull() {
-				if isAnd && !a.Truth() {
-					return types.NewBool(false), nil
-				}
-				if !isAnd && a.Truth() {
-					return types.NewBool(true), nil
-				}
+			return a.And(b), nil
+		}}, nil
+	case "or":
+		return &Compiled{kind: types.KindBool, tri: func(ctx *EvalCtx, row schema.Tuple) (types.Tri, error) {
+			a, err := l.tri(ctx, row)
+			if err != nil || a == types.TriTrue {
+				return a, err
 			}
-			b, err := r.eval(ctx, row)
+			b, err := r.tri(ctx, row)
 			if err != nil {
-				return types.Null(), err
+				return types.TriNull, err
 			}
-			if b.IsNull() || a.IsNull() {
-				if !b.IsNull() {
-					if isAnd && !b.Truth() {
-						return types.NewBool(false), nil
-					}
-					if !isAnd && b.Truth() {
-						return types.NewBool(true), nil
-					}
-				}
-				return types.Null(), nil
-			}
-			if isAnd {
-				return types.NewBool(a.Truth() && b.Truth()), nil
-			}
-			return types.NewBool(a.Truth() || b.Truth()), nil
+			return a.Or(b), nil
 		}}, nil
 	case "=", "<>", "!=", "<", "<=", ">", ">=":
-		return &Compiled{kind: types.KindBool, eval: func(ctx *EvalCtx, row schema.Tuple) (types.Value, error) {
-			a, err := l.eval(ctx, row)
+		cmp, _ := types.ParseCmpOp(op)
+		lo, ro := operandOf(e.L, l, sch), operandOf(e.R, r, sch)
+		return &Compiled{kind: types.KindBool, tri: func(ctx *EvalCtx, row schema.Tuple) (types.Tri, error) {
+			var ta, tb types.Value
+			a, err := lo.read(ctx, row, &ta)
 			if err != nil {
-				return types.Null(), err
+				return types.TriNull, err
 			}
-			b, err := r.eval(ctx, row)
+			b, err := ro.read(ctx, row, &tb)
 			if err != nil {
-				return types.Null(), err
+				return types.TriNull, err
 			}
-			return types.CompareOp(op, a, b)
+			return types.Cmp(cmp, a, b)
 		}}, nil
 	case "like":
-		return &Compiled{kind: types.KindBool, eval: func(ctx *EvalCtx, row schema.Tuple) (types.Value, error) {
+		return &Compiled{kind: types.KindBool, tri: func(ctx *EvalCtx, row schema.Tuple) (types.Tri, error) {
 			a, err := l.eval(ctx, row)
 			if err != nil {
-				return types.Null(), err
+				return types.TriNull, err
 			}
 			b, err := r.eval(ctx, row)
 			if err != nil {
-				return types.Null(), err
+				return types.TriNull, err
 			}
 			if a.IsNull() || b.IsNull() {
-				return types.Null(), nil
+				return types.TriNull, nil
 			}
 			if a.Kind() != types.KindText || b.Kind() != types.KindText {
-				return types.Null(), fmt.Errorf("LIKE requires text operands")
+				return types.TriNull, fmt.Errorf("LIKE requires text operands")
 			}
-			return types.NewBool(likeMatch(b.Text(), a.Text())), nil
+			return types.TriBool(likeMatch(b.Text(), a.Text())), nil
 		}}, nil
 	case "+", "-", "*", "/", "%":
 		kind := types.KindInt

@@ -133,3 +133,97 @@ func TestValueDecodeErrors(t *testing.T) {
 		}
 	}
 }
+
+// sameBits reports whether a and b have the same kind and bit-identical
+// payloads: NaN payloads and the sign of zero count.
+func sameBits(a, b types.Value) bool {
+	if a.Kind() != b.Kind() {
+		return false
+	}
+	switch a.Kind() {
+	case types.KindInt:
+		return a.Int() == b.Int()
+	case types.KindFloat:
+		return math.Float64bits(a.Float()) == math.Float64bits(b.Float())
+	case types.KindText:
+		return a.Text() == b.Text()
+	case types.KindBool:
+		return a.Bool() == b.Bool()
+	}
+	return true
+}
+
+// Float and integer extremes survive the tagged encoding bit for bit.
+func TestValueEdgeBitsRoundtrip(t *testing.T) {
+	vals := []types.Value{
+		types.NewFloat(math.NaN()), types.NewFloat(math.Float64frombits(0x7ff8dead0000beef)),
+		types.NewFloat(math.Copysign(0, -1)), types.NewFloat(0),
+		types.NewFloat(math.Inf(1)), types.NewFloat(math.Inf(-1)),
+		types.NewFloat(math.SmallestNonzeroFloat64), types.NewFloat(-math.SmallestNonzeroFloat64),
+		types.NewInt(math.MaxInt64), types.NewInt(math.MinInt64),
+		types.NewBool(false), types.NewBool(true),
+	}
+	for _, v := range vals {
+		got, rest, err := Value(AppendValue(nil, v))
+		if err != nil || len(rest) != 0 || !sameBits(got, v) {
+			t.Errorf("%v: decoded %v, %d trailing bytes, err %v", v, got, len(rest), err)
+		}
+	}
+}
+
+// fuzzValue builds a value of one of the five kinds from fuzz inputs.
+func fuzzValue(kind byte, x uint64, s string) types.Value {
+	switch kind % 5 {
+	case 1:
+		return types.NewInt(int64(x))
+	case 2:
+		return types.NewFloat(math.Float64frombits(x))
+	case 3:
+		return types.NewText(s)
+	case 4:
+		return types.NewBool(x&1 != 0)
+	}
+	return types.Null()
+}
+
+// FuzzKeyencValue checks the tagged value encoding:
+//   - decoding arbitrary bytes never panics, and whatever decodes
+//     re-encodes to a value that decodes identically;
+//   - Value(AppendValue(v)) returns v bit for bit and consumes exactly
+//     the encoded bytes, whatever follows them;
+//   - for two values of one kind, a.Compare(b) < 0 implies their
+//     encodings order the same way under bytes.Compare.
+func FuzzKeyencValue(f *testing.F) {
+	f.Add([]byte{tagInt, 0x80, 0, 0, 0, 0, 0, 0, 1}, byte(1), uint64(1), uint64(2), "", "")
+	f.Add([]byte{tagFloat, 0x7f}, byte(2), math.Float64bits(-0.0), math.Float64bits(math.NaN()), "", "")
+	f.Add([]byte{tagText, 'a', 0x01, 0x01, 0x00}, byte(3), uint64(0), uint64(0), "a\x00", "a\x01")
+	f.Add([]byte{tagBool, 2}, byte(4), uint64(1), uint64(0), "", "")
+	f.Add([]byte{}, byte(0), uint64(0), uint64(0), "", "")
+	f.Fuzz(func(t *testing.T, raw []byte, kind byte, x, y uint64, s, u string) {
+		if v, _, err := Value(raw); err == nil {
+			again, rest, err := Value(AppendValue(nil, v))
+			if err != nil || len(rest) != 0 || !sameBits(again, v) {
+				t.Fatalf("decoded %v from %x, re-decoded %v (%d trailing, err %v)", v, raw, again, len(rest), err)
+			}
+		}
+
+		a, b := fuzzValue(kind, x, s), fuzzValue(kind, y, u)
+		ea, eb := AppendValue(nil, a), AppendValue(nil, b)
+		for _, c := range []struct {
+			v   types.Value
+			enc []byte
+		}{{a, ea}, {b, eb}} {
+			buf := append(append([]byte(nil), c.enc...), raw...)
+			got, rest, err := Value(buf)
+			if err != nil || !sameBits(got, c.v) || !bytes.Equal(rest, raw) {
+				t.Fatalf("%v: decoded %v, rest %x (want %x), err %v", c.v, got, rest, raw, err)
+			}
+		}
+		if a.Compare(b) < 0 && bytes.Compare(ea, eb) >= 0 {
+			t.Fatalf("%v < %v but encodings %x >= %x", a, b, ea, eb)
+		}
+		if b.Compare(a) < 0 && bytes.Compare(eb, ea) >= 0 {
+			t.Fatalf("%v < %v but encodings %x >= %x", b, a, eb, ea)
+		}
+	})
+}

@@ -89,41 +89,8 @@ func Neg(a Value) (Value, error) {
 	case KindInt:
 		return NewInt(-a.i), nil
 	case KindFloat:
-		return NewFloat(-a.f), nil
+		return NewFloat(-a.Float()), nil
 	default:
 		return Null(), fmt.Errorf("operator - requires a numeric operand, got %s", a.Kind())
-	}
-}
-
-// CompareOp evaluates a comparison operator ("=", "<>", "<", "<=",
-// ">", ">=") under SQL semantics: NULL operands yield NULL.
-func CompareOp(op string, a, b Value) (Value, error) {
-	if a.IsNull() || b.IsNull() {
-		return Null(), nil
-	}
-	switch op {
-	case "=", "<>", "!=":
-		eq, _ := a.equalNullable(b)
-		if op == "=" {
-			return NewBool(eq), nil
-		}
-		return NewBool(!eq), nil
-	}
-	// Ordering comparisons require mutually comparable kinds.
-	if !(a.numeric() && b.numeric()) && a.kind != b.kind {
-		return Null(), fmt.Errorf("cannot compare %s with %s", a.Kind(), b.Kind())
-	}
-	c := a.Compare(b)
-	switch op {
-	case "<":
-		return NewBool(c < 0), nil
-	case "<=":
-		return NewBool(c <= 0), nil
-	case ">":
-		return NewBool(c > 0), nil
-	case ">=":
-		return NewBool(c >= 0), nil
-	default:
-		return Null(), fmt.Errorf("unknown comparison operator %q", op)
 	}
 }

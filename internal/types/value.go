@@ -64,12 +64,14 @@ func KindFromName(name string) (Kind, bool) {
 }
 
 // Value is a single SQL value. The zero Value is NULL.
+//
+// The one 64-bit payload word i holds an INT, the IEEE-754 bits of a
+// FLOAT, or 0/1 for a BOOL, which keeps a Value at 32 bytes; every
+// stored row, batch and evaluation result is made of them.
 type Value struct {
 	kind Kind
 	i    int64
-	f    float64
 	s    string
-	b    bool
 }
 
 // Null returns the NULL value.
@@ -79,13 +81,18 @@ func Null() Value { return Value{} }
 func NewInt(v int64) Value { return Value{kind: KindInt, i: v} }
 
 // NewFloat returns a FLOAT value.
-func NewFloat(v float64) Value { return Value{kind: KindFloat, f: v} }
+func NewFloat(v float64) Value { return Value{kind: KindFloat, i: int64(math.Float64bits(v))} }
 
 // NewText returns a TEXT value.
 func NewText(v string) Value { return Value{kind: KindText, s: v} }
 
 // NewBool returns a BOOL value.
-func NewBool(v bool) Value { return Value{kind: KindBool, b: v} }
+func NewBool(v bool) Value {
+	if v {
+		return Value{kind: KindBool, i: 1}
+	}
+	return Value{kind: KindBool}
+}
 
 // Kind reports the type of the value.
 func (v Value) Kind() Kind { return v.kind }
@@ -97,13 +104,13 @@ func (v Value) IsNull() bool { return v.kind == KindNull }
 func (v Value) Int() int64 { return v.i }
 
 // Float returns the float payload; valid only when Kind()==KindFloat.
-func (v Value) Float() float64 { return v.f }
+func (v Value) Float() float64 { return math.Float64frombits(uint64(v.i)) }
 
 // Text returns the string payload; valid only when Kind()==KindText.
 func (v Value) Text() string { return v.s }
 
 // Bool returns the boolean payload; valid only when Kind()==KindBool.
-func (v Value) Bool() bool { return v.b }
+func (v Value) Bool() bool { return v.i != 0 }
 
 // AsFloat converts numeric values to float64. It reports false for
 // non-numeric or NULL values.
@@ -112,7 +119,7 @@ func (v Value) AsFloat() (float64, bool) {
 	case KindInt:
 		return float64(v.i), true
 	case KindFloat:
-		return v.f, true
+		return v.Float(), true
 	default:
 		return 0, false
 	}
@@ -125,7 +132,7 @@ func (v Value) AsInt() (int64, bool) {
 	case KindInt:
 		return v.i, true
 	case KindFloat:
-		return int64(v.f), true
+		return int64(v.Float()), true
 	default:
 		return 0, false
 	}
@@ -136,11 +143,11 @@ func (v Value) AsInt() (int64, bool) {
 func (v Value) Truth() bool {
 	switch v.kind {
 	case KindBool:
-		return v.b
+		return v.Bool()
 	case KindInt:
 		return v.i != 0
 	case KindFloat:
-		return v.f != 0
+		return v.Float() != 0
 	default:
 		return false
 	}
@@ -177,7 +184,7 @@ func (v Value) equalNullable(o Value) (bool, bool) {
 	case KindText:
 		return v.s == o.s, true
 	case KindBool:
-		return v.b == o.b, true
+		return v.Bool() == o.Bool(), true
 	}
 	return false, true
 }
@@ -226,9 +233,9 @@ func (v Value) Compare(o Value) int {
 		return strings.Compare(v.s, o.s)
 	case KindBool:
 		switch {
-		case !v.b && o.b:
+		case !v.Bool() && o.Bool():
 			return -1
-		case v.b && !o.b:
+		case v.Bool() && !o.Bool():
 			return 1
 		}
 		return 0
@@ -249,12 +256,12 @@ func (v Value) Hash() uint64 {
 		// NewInt(2) and NewFloat(2.0) collide, matching Equal.
 		writeFloatHash(h, float64(v.i))
 	case KindFloat:
-		writeFloatHash(h, v.f)
+		writeFloatHash(h, v.Float())
 	case KindText:
 		h.Write([]byte{3})
 		h.Write([]byte(v.s))
 	case KindBool:
-		if v.b {
+		if v.Bool() {
 			h.Write([]byte{4, 1})
 		} else {
 			h.Write([]byte{4, 0})
@@ -284,11 +291,11 @@ func (v Value) String() string {
 	case KindInt:
 		return strconv.FormatInt(v.i, 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.Float(), 'g', -1, 64)
 	case KindText:
 		return v.s
 	case KindBool:
-		if v.b {
+		if v.Bool() {
 			return "true"
 		}
 		return "false"
@@ -314,7 +321,7 @@ func (v Value) Cast(k Kind) (Value, error) {
 	case KindInt:
 		switch v.kind {
 		case KindFloat:
-			return NewInt(int64(v.f)), nil
+			return NewInt(int64(v.Float())), nil
 		case KindText:
 			n, err := strconv.ParseInt(strings.TrimSpace(v.s), 10, 64)
 			if err != nil {
@@ -322,7 +329,7 @@ func (v Value) Cast(k Kind) (Value, error) {
 			}
 			return NewInt(n), nil
 		case KindBool:
-			if v.b {
+			if v.Bool() {
 				return NewInt(1), nil
 			}
 			return NewInt(0), nil
@@ -338,7 +345,7 @@ func (v Value) Cast(k Kind) (Value, error) {
 			}
 			return NewFloat(f), nil
 		case KindBool:
-			if v.b {
+			if v.Bool() {
 				return NewFloat(1), nil
 			}
 			return NewFloat(0), nil
@@ -350,7 +357,7 @@ func (v Value) Cast(k Kind) (Value, error) {
 		case KindInt:
 			return NewBool(v.i != 0), nil
 		case KindFloat:
-			return NewBool(v.f != 0), nil
+			return NewBool(v.Float() != 0), nil
 		case KindText:
 			switch strings.ToLower(strings.TrimSpace(v.s)) {
 			case "true", "t", "1", "yes":
