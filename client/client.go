@@ -135,9 +135,12 @@ func Open(baseURL string, opts ...Option) (*DB, error) {
 	return d, nil
 }
 
-// Close releases the server session. The DB is unusable afterwards.
+// Close releases the server session and closes the client's idle
+// connections. The DB is unusable afterwards.
 func (d *DB) Close() error {
-	return d.call("DELETE", "/v1/session", nil, "", &struct{}{})
+	err := d.call("DELETE", "/v1/session", nil, "", &struct{}{})
+	d.http.CloseIdleConnections()
+	return err
 }
 
 // Error is a server-reported failure.
@@ -224,6 +227,11 @@ func (d *DB) call(method, path string, body io.Reader, contentType string, out i
 	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
 		return fmt.Errorf("client: bad response: %v", err)
 	}
+	// The transport reuses a connection only once its response is read
+	// to EOF; a chunked body still holds the value's trailing newline
+	// and the closing chunk. The value is complete, so a failed drain
+	// only costs the connection.
+	_, _ = io.Copy(io.Discard, resp.Body)
 	return nil
 }
 
@@ -245,7 +253,7 @@ func (d *DB) Query(src string) (*maybms.Rows, error) {
 	}
 	rows := &maybms.Rows{
 		Columns: qr.Columns,
-		Data:    wire.DecodeRows(qr.Rows),
+		Data:    qr.Rows,
 		Certain: qr.Certain,
 		Lineage: qr.Lineage,
 	}
@@ -394,7 +402,7 @@ func (r *Rows) Next() bool {
 		}
 		switch {
 		case f.Batch != nil:
-			r.rows = wire.DecodeRows(f.Batch.Rows)
+			r.rows = f.Batch.Rows
 			r.lineage = f.Batch.Lineage
 			r.idx = 0
 		case f.Done != nil:

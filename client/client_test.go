@@ -5,6 +5,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,15 +14,26 @@ import (
 	"maybms/internal/server"
 )
 
+// numsRows is the size of the test table: large enough that a stream
+// of it spans several read buffers, so a client holds its connection
+// until it has read the rows rather than from the first Decode.
+const numsRows = 4096
+
 // startServer runs a MayBMS server on an httptest listener that counts
 // accepted TCP connections.
 func startServer(t *testing.T) (url string, conns *atomic.Int64, shutdown func()) {
 	t.Helper()
 	mdb := maybms.Open()
 	mdb.MustExec(`create table nums (n int)`)
-	for i := 0; i < 5; i++ {
-		mdb.MustExec(fmt.Sprintf(`insert into nums values (%d)`, i))
+	var ins strings.Builder
+	ins.WriteString(`insert into nums values `)
+	for i := 0; i < numsRows; i++ {
+		if i > 0 {
+			ins.WriteByte(',')
+		}
+		fmt.Fprintf(&ins, "(%d)", i)
 	}
+	mdb.MustExec(ins.String())
 	srv := server.New(mdb, server.Options{})
 	ts := httptest.NewUnstartedServer(srv.Handler())
 	conns = &atomic.Int64{}
@@ -60,7 +72,9 @@ func TestTransportReusesConnectionSequentially(t *testing.T) {
 
 // A burst of parallel streaming queries may open up to burst-size
 // connections, but the pool must keep them warm: a second burst of the
-// same size must not dial any new connection.
+// same size must not dial any new connection. Every stream of a burst
+// reads its first row and then waits at a barrier for the others, so
+// each burst holds exactly burst-size connections at once.
 func TestTransportSurvivesParallelStreamBursts(t *testing.T) {
 	url, conns, shutdown := startServer(t)
 	defer shutdown()
@@ -70,22 +84,36 @@ func TestTransportSurvivesParallelStreamBursts(t *testing.T) {
 	}
 	defer db.Close()
 
+	const size = 8
 	burst := func() {
-		var wg sync.WaitGroup
-		for i := 0; i < 8; i++ {
+		var wg, open sync.WaitGroup
+		open.Add(size)
+		for i := 0; i < size; i++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
 				rows, err := db.QueryRows(`select n from nums order by n`)
 				if err != nil {
 					t.Error(err)
+					open.Done()
 					return
 				}
 				defer rows.Close()
+				first := rows.Next()
+				open.Done()
+				open.Wait()
+				if !first {
+					t.Errorf("stream ended before its first row: %v", rows.Err())
+					return
+				}
+				n := 1
 				for rows.Next() {
+					n++
 				}
 				if err := rows.Err(); err != nil {
 					t.Error(err)
+				} else if n != numsRows {
+					t.Errorf("streamed %d rows, want %d", n, numsRows)
 				}
 			}()
 		}

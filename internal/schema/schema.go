@@ -5,6 +5,8 @@ package schema
 
 import (
 	"fmt"
+	"math"
+	"strconv"
 	"strings"
 
 	"maybms/internal/types"
@@ -172,29 +174,45 @@ func (t Tuple) Equal(o Tuple) bool {
 // Key renders the tuple as a canonical string usable as a map key for
 // grouping and duplicate elimination. NULLs group together.
 func (t Tuple) Key() string {
-	var b strings.Builder
+	var buf [64]byte
+	b := buf[:0]
 	for i, v := range t {
 		if i > 0 {
-			b.WriteByte('\x1f')
+			b = append(b, '\x1f')
 		}
 		if v.IsNull() {
-			b.WriteString("\x00N")
+			b = append(b, "\x00N"...)
 			continue
 		}
 		switch v.Kind() {
 		case types.KindText:
-			b.WriteString("\x00T")
-			b.WriteString(v.Text())
+			b = append(b, "\x00T"...)
+			b = append(b, v.Text()...)
 		case types.KindBool:
-			b.WriteString("\x00B")
-			b.WriteString(v.String())
+			b = append(b, "\x00B"...)
+			b = append(b, v.String()...)
+		case types.KindInt:
+			b = append(b, "\x00F"...)
+			b = strconv.AppendInt(b, v.Int(), 10)
 		default:
-			// Numeric: canonicalise so 2 and 2.0 group together.
-			f, _ := v.AsFloat()
-			fmt.Fprintf(&b, "\x00F%g", f)
+			b = append(b, "\x00F"...)
+			b = appendFloatKey(b, v.Float())
 		}
 	}
-	return b.String()
+	return string(b)
+}
+
+// appendFloatKey renders a FLOAT in the same form as an INT of equal
+// value, so 2 and 2.0, and 0.0 and -0.0, share a key as Equal says
+// they should; distinct INTs keep distinct keys even above 2^53. Any
+// other float is fractional, out of int64 range or not finite, so its
+// shortest 'g' form has a point, an exponent, NaN or Inf and cannot
+// collide with an integer's; every NaN shares one key.
+func appendFloatKey(b []byte, f float64) []byte {
+	if f == math.Trunc(f) && f >= -(1<<63) && f < 1<<63 {
+		return strconv.AppendInt(b, int64(f), 10)
+	}
+	return strconv.AppendFloat(b, f, 'g', -1, 64)
 }
 
 // String renders the tuple as (v1, v2, ...).

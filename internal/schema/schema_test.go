@@ -1,6 +1,7 @@
 package schema
 
 import (
+	"math"
 	"testing"
 
 	"maybms/internal/types"
@@ -105,6 +106,35 @@ func TestTupleEqualAndKey(t *testing.T) {
 	f := Tuple{types.NewText("a"), types.NewText("b")}
 	if e.Key() == f.Key() {
 		t.Error("separator collision")
+	}
+}
+
+func TestTupleKeyNumbers(t *testing.T) {
+	key := func(v types.Value) string { return Tuple{v}.Key() }
+	same := [][2]types.Value{
+		{types.NewInt(2), types.NewFloat(2)},
+		{types.NewFloat(0), types.NewFloat(math.Copysign(0, -1))},
+		{types.NewInt(0), types.NewFloat(math.Copysign(0, -1))},
+		{types.NewInt(math.MinInt64), types.NewFloat(-(1 << 63))},
+		{types.NewFloat(math.NaN()), types.NewFloat(-math.NaN())},
+	}
+	for _, p := range same {
+		if key(p[0]) != key(p[1]) {
+			t.Errorf("%v and %v must share a key: %q vs %q", p[0], p[1], key(p[0]), key(p[1]))
+		}
+	}
+	distinct := []types.Value{
+		types.NewInt(1 << 53), types.NewInt(1<<53 + 1), types.NewInt(math.MaxInt64),
+		types.NewFloat(1 << 63), types.NewFloat(0.5), types.NewFloat(1e-7),
+		types.NewFloat(math.Inf(1)), types.NewFloat(math.Inf(-1)), types.NewFloat(math.NaN()),
+		types.NewText("9007199254740992"), types.NewBool(true),
+	}
+	seen := map[string]types.Value{}
+	for _, v := range distinct {
+		if w, dup := seen[key(v)]; dup {
+			t.Errorf("%v and %v share key %q", v, w, key(v))
+		}
+		seen[key(v)] = v
 	}
 }
 

@@ -97,8 +97,17 @@ func TestKillMidStreamCursor(t *testing.T) {
 		t.Fatalf("stream produced no rows before kill: %v", rows.Err())
 	}
 
-	id := waitVisible(t, c, "from big b1")
-	if err := c.Kill(id); err != nil {
+	// Watch and kill from a second client, closed before goroutines are
+	// counted: the connections it needs while the stream holds c's are
+	// kept alive in its pool, and an idle pooled connection is not
+	// something the kill left behind.
+	ctl, err := client.Open(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctl.Close()
+	id := waitVisible(t, ctl, "from big b1")
+	if err := ctl.Kill(id); err != nil {
 		t.Fatalf("Kill(%s): %v", id, err)
 	}
 	for rows.Next() {
@@ -111,7 +120,7 @@ func TestKillMidStreamCursor(t *testing.T) {
 		t.Errorf("Killed() = %d, want 1", got)
 	}
 	var killEvents int
-	evs, err := c.Events()
+	evs, err := ctl.Events()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,6 +134,7 @@ func TestKillMidStreamCursor(t *testing.T) {
 	}
 
 	drainedGauges(t, srv)
+	ctl.Close()
 	settle(t, "goroutine count", func() bool {
 		runtime.GC()
 		return runtime.NumGoroutine() <= goroutinesBefore+2

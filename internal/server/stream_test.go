@@ -88,13 +88,45 @@ func TestStreamByteIdenticalToQuery(t *testing.T) {
 	}
 }
 
-func mustCells(t *testing.T, row []interface{}) []wire.Cell {
+// mustCells wraps one row for a tagged encoding, so int 1 and float 1
+// still differ when two rows are compared as bytes.
+func mustCells(t *testing.T, row []interface{}) wire.Rows {
 	t.Helper()
 	cells, err := wire.EncodeRows([][]interface{}{row})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return cells[0]
+	return cells
+}
+
+// The bytes of /v1/query bodies and stream frames are pinned: these
+// were written by the reflection codec that wire.Rows replaced, and
+// cover the sign of zero, float format boundaries, non-finite floats,
+// integers above 2^53, HTML escapes, U+2028 and invalid UTF-8.
+func TestQueryAndStreamBytesGolden(t *testing.T) {
+	base, mdb, _ := startServer(t, Options{})
+	mdb.MustExec("create table q (i int, f float, s text, b bool); insert into q values " +
+		"(9007199254740993, -0.0, '<a&b> \"q\" \\ \u00e9 \u2028 \t', true), " +
+		"(-9223372036854775807, 0.000001, 'x\xffy', false), " +
+		"(null, 1e21, '', null), (7, 1e308 * 10, 'z', true), (8, 1.5e-7, 'w', false), (9, 123456.789, 'v', true)")
+	for _, tc := range []struct{ path, want string }{
+		{"/v1/query", "{\"columns\":[\"i\",\"f\",\"s\",\"b\",\"column5\"],\"rows\":[[{\"i\":9007199254740993},{\"f\":-0},{\"s\":\"\\u003ca\\u0026b\\u003e \\\"q\\\" \\\\ \u00e9 \\u2028 \\t\"},{\"b\":true},{\"f\":0}],[{\"i\":-9223372036854775807},{\"f\":0.000001},{\"s\":\"x\\ufffdy\"},{\"b\":false},{\"f\":-0.000009999999999999999}],[null,{\"f\":1e+21},{\"s\":\"\"},null,{\"f\":-1e+22}],[{\"i\":7},{\"nf\":\"+inf\"},{\"s\":\"z\"},{\"b\":true},{\"nf\":\"-inf\"}],[{\"i\":8},{\"f\":1.5e-7},{\"s\":\"w\"},{\"b\":false},{\"f\":-0.0000015}],[{\"i\":9},{\"f\":123456.789},{\"s\":\"v\"},{\"b\":true},{\"f\":-1234567.8900000001}]],\"certain\":true}\n"},
+		{"/v1/query/stream", "{\"header\":{\"columns\":[\"i\",\"f\",\"s\",\"b\",\"column5\"],\"certain\":true}}\n{\"batch\":{\"rows\":[[{\"i\":9007199254740993},{\"f\":-0},{\"s\":\"\\u003ca\\u0026b\\u003e \\\"q\\\" \\\\ \u00e9 \\u2028 \\t\"},{\"b\":true},{\"f\":0}],[{\"i\":-9223372036854775807},{\"f\":0.000001},{\"s\":\"x\\ufffdy\"},{\"b\":false},{\"f\":-0.000009999999999999999}],[null,{\"f\":1e+21},{\"s\":\"\"},null,{\"f\":-1e+22}],[{\"i\":7},{\"nf\":\"+inf\"},{\"s\":\"z\"},{\"b\":true},{\"nf\":\"-inf\"}],[{\"i\":8},{\"f\":1.5e-7},{\"s\":\"w\"},{\"b\":false},{\"f\":-0.0000015}],[{\"i\":9},{\"f\":123456.789},{\"s\":\"v\"},{\"b\":true},{\"f\":-1234567.8900000001}]]}}\n{\"done\":{\"rows_streamed\":6}}\n"},
+	} {
+		body, _ := json.Marshal(wire.Request{SQL: `select i, f, s, b, f * -10 from q`})
+		resp, err := http.Post(base+tc.path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: %s %v", tc.path, resp.Status, err)
+		}
+		if string(data) != tc.want {
+			t.Errorf("%s body changed:\n got %q\nwant %q", tc.path, data, tc.want)
+		}
+	}
 }
 
 func TestStreamWriteQueryAdmission(t *testing.T) {

@@ -5,11 +5,7 @@
 // client promises results identical to the embedded engine.
 package wire
 
-import (
-	"encoding/json"
-	"fmt"
-	"math"
-)
+import "encoding/json"
 
 // Request is the body of POST /v1/query and POST /v1/exec.
 type Request struct {
@@ -20,7 +16,7 @@ type Request struct {
 // QueryResponse is the body of a successful POST /v1/query.
 type QueryResponse struct {
 	Columns []string `json:"columns"`
-	Rows    [][]Cell `json:"rows"`
+	Rows    Rows     `json:"rows"`
 	Certain bool     `json:"certain"`
 	// Lineage holds per-row condition renderings for uncertain
 	// results; omitted for certain ones.
@@ -140,7 +136,7 @@ type StreamHeader struct {
 // cells as QueryResponse so streamed rows are byte-identical to
 // /v1/query rows for the same statement.
 type StreamBatch struct {
-	Rows    [][]Cell `json:"rows"`
+	Rows    Rows     `json:"rows"`
 	Lineage []string `json:"lineage,omitempty"`
 }
 
@@ -158,120 +154,3 @@ const SessionHeader = "X-Maybms-Session"
 // server echoes the id on every response so a slow-query log line can
 // be joined with the request that caused it.
 const TraceHeader = "X-Maybms-Trace"
-
-// Cell is one result value: nil, int64, float64, string, or bool —
-// the same dynamic types maybms.Rows uses. It marshals as a tagged
-// object ({"i":1}, {"f":0.5}, {"s":"x"}, {"b":true}) or JSON null.
-type Cell struct {
-	V interface{}
-}
-
-type taggedCell struct {
-	I *int64   `json:"i,omitempty"`
-	F *float64 `json:"f,omitempty"`
-	S *string  `json:"s,omitempty"`
-	B *bool    `json:"b,omitempty"`
-	// NF carries non-finite floats ("nan", "+inf", "-inf"), which
-	// JSON numbers cannot represent.
-	NF *string `json:"nf,omitempty"`
-}
-
-// MarshalJSON implements json.Marshaler.
-func (c Cell) MarshalJSON() ([]byte, error) {
-	switch v := c.V.(type) {
-	case nil:
-		return []byte("null"), nil
-	case int64:
-		return json.Marshal(taggedCell{I: &v})
-	case float64:
-		switch {
-		case math.IsNaN(v):
-			nf := "nan"
-			return json.Marshal(taggedCell{NF: &nf})
-		case math.IsInf(v, 1):
-			nf := "+inf"
-			return json.Marshal(taggedCell{NF: &nf})
-		case math.IsInf(v, -1):
-			nf := "-inf"
-			return json.Marshal(taggedCell{NF: &nf})
-		}
-		return json.Marshal(taggedCell{F: &v})
-	case string:
-		return json.Marshal(taggedCell{S: &v})
-	case bool:
-		return json.Marshal(taggedCell{B: &v})
-	default:
-		return nil, fmt.Errorf("wire: unsupported cell type %T", c.V)
-	}
-}
-
-// UnmarshalJSON implements json.Unmarshaler.
-func (c *Cell) UnmarshalJSON(data []byte) error {
-	if string(data) == "null" {
-		c.V = nil
-		return nil
-	}
-	var t taggedCell
-	if err := json.Unmarshal(data, &t); err != nil {
-		return fmt.Errorf("wire: bad cell %s: %v", data, err)
-	}
-	switch {
-	case t.I != nil:
-		c.V = *t.I
-	case t.F != nil:
-		c.V = *t.F
-	case t.S != nil:
-		c.V = *t.S
-	case t.B != nil:
-		c.V = *t.B
-	case t.NF != nil:
-		switch *t.NF {
-		case "nan":
-			c.V = math.NaN()
-		case "+inf":
-			c.V = math.Inf(1)
-		case "-inf":
-			c.V = math.Inf(-1)
-		default:
-			return fmt.Errorf("wire: bad non-finite tag %q", *t.NF)
-		}
-	default:
-		// {"b":false} etc. collapse to the empty object under
-		// omitempty-style senders; this implementation always sends the
-		// field, so an empty object means a zero value is ambiguous.
-		// Guard by rejecting it outright.
-		return fmt.Errorf("wire: ambiguous empty cell %s", data)
-	}
-	return nil
-}
-
-// EncodeRows converts dynamically typed rows into tagged cells,
-// rejecting unsupported types up front (the actual marshalling
-// happens once, when the response is encoded).
-func EncodeRows(rows [][]interface{}) ([][]Cell, error) {
-	out := make([][]Cell, len(rows))
-	for i, row := range rows {
-		out[i] = make([]Cell, len(row))
-		for j, v := range row {
-			switch v.(type) {
-			case nil, int64, float64, string, bool:
-			default:
-				return nil, fmt.Errorf("wire: unsupported cell type %T", v)
-			}
-			out[i][j] = Cell{V: v}
-		}
-	}
-	return out, nil
-}
-
-// DecodeRows converts tagged cells back into dynamically typed rows.
-func DecodeRows(rows [][]Cell) [][]interface{} {
-	out := make([][]interface{}, len(rows))
-	for i, row := range rows {
-		out[i] = make([]interface{}, len(row))
-		for j, c := range row {
-			out[i][j] = c.V
-		}
-	}
-	return out
-}

@@ -9,7 +9,7 @@ import (
 	"maybms/internal/wire"
 )
 
-// Result values reach network clients as wire cells. Float and integer
+// Result values reach network clients as wire rows. Float and integer
 // extremes — NaN, infinities, the sign of zero, the smallest
 // subnormal — arrive bit for bit.
 func TestWireValueBitsRoundTrip(t *testing.T) {
@@ -21,27 +21,28 @@ func TestWireValueBitsRoundTrip(t *testing.T) {
 		types.NewBool(false), types.NewBool(true),
 	}
 	for _, v := range vals {
-		data, err := json.Marshal(wire.Cell{V: toIface(v)})
+		data, err := json.Marshal(wire.Rows{{toIface(v)}})
 		if err != nil {
 			t.Fatalf("%v: %v", v, err)
 		}
-		var c wire.Cell
-		if err := json.Unmarshal(data, &c); err != nil {
+		var back wire.Rows
+		if err := json.Unmarshal(data, &back); err != nil {
 			t.Fatalf("%v: %s: %v", v, data, err)
 		}
+		got := back[0][0]
 		switch v.Kind() {
 		case types.KindFloat:
-			f, ok := c.V.(float64)
+			f, ok := got.(float64)
 			if !ok || math.Float64bits(f) != math.Float64bits(v.Float()) {
-				t.Errorf("%v: %s came back as %#v", v, data, c.V)
+				t.Errorf("%v: %s came back as %#v", v, data, got)
 			}
 		case types.KindInt:
-			if i, ok := c.V.(int64); !ok || i != v.Int() {
-				t.Errorf("%v: %s came back as %#v", v, data, c.V)
+			if i, ok := got.(int64); !ok || i != v.Int() {
+				t.Errorf("%v: %s came back as %#v", v, data, got)
 			}
 		case types.KindBool:
-			if b, ok := c.V.(bool); !ok || b != v.Bool() {
-				t.Errorf("%v: %s came back as %#v", v, data, c.V)
+			if b, ok := got.(bool); !ok || b != v.Bool() {
+				t.Errorf("%v: %s came back as %#v", v, data, got)
 			}
 		}
 	}
