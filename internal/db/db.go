@@ -311,12 +311,12 @@ func (d *Database) TableCertain(name string) (bool, error) {
 // inside a statement's lock scope; the returned iterator is valid only
 // while that lock is held. Cursors never use this live catalog — they
 // stream from a Snapshot, whose iterators need no lock.
-func (d *Database) TableBatches(name string, size int) (urel.Iterator, error) {
+func (d *Database) TableBatches(name string, size int, sieve storage.Sieve) (urel.Iterator, error) {
 	t, ok := d.tables[strings.ToLower(name)]
 	if !ok {
 		return nil, fmt.Errorf("db: table %q does not exist", name)
 	}
-	return t.Batches(nil, size), nil
+	return t.Batches(nil, size, sieve), nil
 }
 
 // TablePartBatches implements exec.PartitionCatalog over live storage:
@@ -324,12 +324,12 @@ func (d *Database) TableBatches(name string, size int) (urel.Iterator, error) {
 // TableBatches it is valid only inside the statement's lock scope —
 // the executor's exchange pulls the shards from worker goroutines, but
 // always strictly within the statement call that holds the lock.
-func (d *Database) TablePartBatches(name string, part, nparts, size int) (urel.Iterator, error) {
+func (d *Database) TablePartBatches(name string, part, nparts, size int, sieve storage.Sieve) (urel.Iterator, error) {
 	t, ok := d.tables[strings.ToLower(name)]
 	if !ok {
 		return nil, fmt.Errorf("db: table %q does not exist", name)
 	}
-	return t.PartBatches(nil, part, nparts, size), nil
+	return t.PartBatches(nil, part, nparts, size, sieve), nil
 }
 
 // TableLen implements exec.PartitionCatalog.
@@ -469,4 +469,3 @@ func (d *Database) QueryRel(src string, materialised bool) (*urel.Rel, error) {
 	}
 	return rel, nil
 }
-

@@ -163,24 +163,24 @@ func (s *Snapshot) TableCertain(name string) (bool, error) {
 // TableBatches implements exec.BatchCatalog: a streaming scan over the
 // frozen heap. Unlike the live catalog's iterator, it is valid with no
 // lock, for the snapshot's whole lifetime.
-func (s *Snapshot) TableBatches(name string, size int) (urel.Iterator, error) {
+func (s *Snapshot) TableBatches(name string, size int, sieve storage.Sieve) (urel.Iterator, error) {
 	t, err := s.table(name)
 	if err != nil {
 		return nil, err
 	}
-	return t.Batches(nil, size), nil
+	return t.Batches(nil, size, sieve), nil
 }
 
 // TablePartBatches implements exec.PartitionCatalog: a streaming scan
 // over one contiguous row-range shard of the frozen heap. The shards
 // are pulled concurrently by exchange workers, which is safe with no
 // lock precisely because the heap is frozen.
-func (s *Snapshot) TablePartBatches(name string, part, nparts, size int) (urel.Iterator, error) {
+func (s *Snapshot) TablePartBatches(name string, part, nparts, size int, sieve storage.Sieve) (urel.Iterator, error) {
 	t, err := s.table(name)
 	if err != nil {
 		return nil, err
 	}
-	return t.PartBatches(nil, part, nparts, size), nil
+	return t.PartBatches(nil, part, nparts, size, sieve), nil
 }
 
 // TableLen implements exec.PartitionCatalog.

@@ -587,8 +587,8 @@ type tableView interface {
 	ToRel() *urel.Rel
 	Certain() bool
 	Len() int
-	Batches(sch *schema.Schema, size int) urel.Iterator
-	PartBatches(sch *schema.Schema, part, nparts, size int) urel.Iterator
+	Batches(sch *schema.Schema, size int, sieve storage.Sieve) urel.Iterator
+	PartBatches(sch *schema.Schema, part, nparts, size int, sieve storage.Sieve) urel.Iterator
 }
 
 // view resolves a table name for reading: the transaction's own
@@ -660,21 +660,21 @@ func (t *Txn) TableCertain(name string) (bool, error) {
 }
 
 // TableBatches implements exec.BatchCatalog.
-func (t *Txn) TableBatches(name string, size int) (urel.Iterator, error) {
+func (t *Txn) TableBatches(name string, size int, sieve storage.Sieve) (urel.Iterator, error) {
 	v, err := t.view(name)
 	if err != nil {
 		return nil, err
 	}
-	return v.Batches(nil, size), nil
+	return v.Batches(nil, size, sieve), nil
 }
 
 // TablePartBatches implements exec.PartitionCatalog.
-func (t *Txn) TablePartBatches(name string, part, nparts, size int) (urel.Iterator, error) {
+func (t *Txn) TablePartBatches(name string, part, nparts, size int, sieve storage.Sieve) (urel.Iterator, error) {
 	v, err := t.view(name)
 	if err != nil {
 		return nil, err
 	}
-	return v.PartBatches(nil, part, nparts, size), nil
+	return v.PartBatches(nil, part, nparts, size, sieve), nil
 }
 
 // TableLen implements exec.PartitionCatalog (and plan.Estimator).

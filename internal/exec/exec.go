@@ -192,7 +192,7 @@ func (e *Executor) Run(n plan.Node) (*urel.Rel, error) {
 		// Share the iterator scan so both paths have the same explicit
 		// copy-out-of-storage semantics: the result never aliases the
 		// table's live backing slice.
-		it, err := e.openScan(n)
+		it, err := e.openScan(n, n.Sch(), nil)
 		if err != nil {
 			return nil, err
 		}

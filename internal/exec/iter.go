@@ -15,9 +15,11 @@ import (
 	"io"
 
 	"maybms/internal/exec/live"
+	"maybms/internal/exec/trace"
 	"maybms/internal/lineage"
 	"maybms/internal/plan"
 	"maybms/internal/schema"
+	"maybms/internal/storage"
 	"maybms/internal/types"
 	"maybms/internal/urel"
 )
@@ -27,10 +29,12 @@ import (
 // first. The iterator's validity follows the catalog's: a live-table
 // catalog hands out iterators valid only while the engine lock
 // covering the table is held, while a snapshot catalog's iterators
-// read frozen storage and need no lock at all.
+// read frozen storage and need no lock at all. sieve, when non-nil, is
+// the selection the scan runs on the stored rows in place (see
+// storage.Table.Batches).
 type BatchCatalog interface {
 	plan.Catalog
-	TableBatches(name string, size int) (urel.Iterator, error)
+	TableBatches(name string, size int, sieve storage.Sieve) (urel.Iterator, error)
 }
 
 // Open compiles a plan into a streaming iterator. The caller must
@@ -88,7 +92,7 @@ func (e *Executor) open(n plan.Node) (urel.Iterator, error) {
 	}
 	switch n := n.(type) {
 	case *plan.Scan:
-		return e.openScan(n)
+		return e.openScan(n, n.Sch(), nil)
 
 	case *plan.Dual:
 		out := urel.New(n.Sch())
@@ -117,6 +121,9 @@ func (e *Executor) open(n plan.Node) (urel.Iterator, error) {
 		return &hashJoinIter{e: e, n: n, left: l}, nil
 
 	case *plan.Filter:
+		if scan, sieve := e.scanSieve(n); scan != nil {
+			return e.openScan(scan, n.Sch(), sieve)
+		}
 		in, err := e.Open(n.In)
 		if err != nil {
 			return nil, err
@@ -181,20 +188,21 @@ func (e *Executor) open(n plan.Node) (urel.Iterator, error) {
 	}
 }
 
-// openScan opens a streaming scan over a stored table. With a
-// BatchCatalog the scan pulls straight from storage, copying tuple
-// structs out of the heap batch by batch; otherwise the catalog's
-// materialised relation is snapshotted once and batched. Either way
-// the batches never alias the table's live backing slice, so
-// downstream operators cannot observe or corrupt the heap under a
-// later writer.
-func (e *Executor) openScan(n *plan.Scan) (urel.Iterator, error) {
+// openScan opens a streaming scan over a stored table under the output
+// schema sch, running sieve (nil keeps every row) on the stored rows.
+// With a BatchCatalog the scan pulls straight from storage; otherwise
+// the catalog's materialised relation is snapshotted once and scanned
+// the same way. Either way only the kept tuple structs are copied out,
+// batch by batch, and the batches never alias the table's live backing
+// slice, so downstream operators cannot observe or corrupt the heap
+// under a later writer.
+func (e *Executor) openScan(n *plan.Scan, sch *schema.Schema, sieve storage.Sieve) (urel.Iterator, error) {
 	if bc, ok := e.Cat.(BatchCatalog); ok {
-		it, err := bc.TableBatches(n.Table, urel.DefaultBatchSize)
+		it, err := bc.TableBatches(n.Table, urel.DefaultBatchSize, sieve)
 		if err != nil {
 			return nil, err
 		}
-		return &renameIter{in: it, sch: n.Sch()}, nil
+		return &renameIter{in: it, sch: sch}, nil
 	}
 	base, err := e.Cat.TableRel(n.Table)
 	if err != nil {
@@ -202,7 +210,112 @@ func (e *Executor) openScan(n *plan.Scan) (urel.Iterator, error) {
 	}
 	snap := make([]urel.Tuple, len(base.Tuples))
 	copy(snap, base.Tuples)
-	return urel.NewRelIterator(&urel.Rel{Sch: n.Sch(), Tuples: snap}, urel.DefaultBatchSize), nil
+	return storage.ScanRows(snap, sch, urel.DefaultBatchSize, sieve), nil
+}
+
+// scanSieve fuses a stack of Filters that ends at a Scan into the
+// scan: it returns that Scan and a sieve running the stack's
+// predicates in plan order, bottom filter first, on the stored rows in
+// place. scan is nil when the stack ends at any other node; those
+// filters run as filterIters.
+//
+// The fused scan visits the same windows as a filterIter chain over
+// the scan and tests each predicate on the same rows in the same
+// order, so rows, batches and the first error are unchanged. The
+// sieve checks the cancellation flag before every window, as the
+// cancelIter over each stacked operator would. With a Tracer attached
+// it records each window into the Scan's and the inner Filters' stats
+// as their own batches would have been, and marks those nodes fused=1:
+// their time is counted in the top Filter, which Open wraps as usual.
+func (e *Executor) scanSieve(top *plan.Filter) (*plan.Scan, *filterSieve) {
+	var stack []*plan.Filter
+	var n plan.Node = top
+	for {
+		f, ok := n.(*plan.Filter)
+		if !ok {
+			break
+		}
+		stack = append(stack, f)
+		n = f.In
+	}
+	scan, ok := n.(*plan.Scan)
+	if !ok {
+		return nil, nil
+	}
+	s := &filterSieve{flag: e.Cancel, tests: make([]sieveTest, len(stack))}
+	for k, f := range stack {
+		s.tests[len(stack)-1-k] = sieveTest{pred: f.Pred, ctx: e.evalCtx()}
+	}
+	if tr := e.Tracer; tr != nil {
+		s.scan = fusedStats(tr, scan)
+		for k, f := range stack[1:] {
+			s.tests[len(stack)-2-k].st = fusedStats(tr, f)
+		}
+	}
+	return scan, s
+}
+
+// fusedStats returns the stats of a node a fused scan runs, marked as
+// fused.
+func fusedStats(tr *trace.Trace, n plan.Node) *trace.OpStats {
+	st := tr.Node(n)
+	st.Counter("fused").Store(1)
+	return st
+}
+
+// filterSieve is a fused filter stack: the storage.Sieve a stored-table
+// scan runs per window (see scanSieve).
+type filterSieve struct {
+	tests []sieveTest
+	flag  *live.Flag
+	scan  *trace.OpStats
+}
+
+// sieveTest is one fused Filter: its predicate, its own evaluation
+// context, and (traced, inner filters only) its stats.
+type sieveTest struct {
+	pred *plan.Compiled
+	ctx  *plan.EvalCtx
+	st   *trace.OpStats
+}
+
+func (s *filterSieve) Sift(rows []urel.Tuple, sel []int32) ([]int32, error) {
+	if s.flag != nil {
+		if err := s.flag.Err(); err != nil {
+			return nil, err
+		}
+	}
+	if len(sel) == 0 {
+		return sel, nil
+	}
+	recordBatch(s.scan, len(sel))
+	for k := range s.tests {
+		t := &s.tests[k]
+		kept := sel[:0]
+		for _, i := range sel {
+			ok, err := t.pred.Test(t.ctx, rows[i].Data)
+			if err != nil {
+				return nil, err
+			}
+			if ok {
+				kept = append(kept, i)
+			}
+		}
+		sel = kept
+		if len(sel) == 0 {
+			break
+		}
+		recordBatch(t.st, len(sel))
+	}
+	return sel, nil
+}
+
+// recordBatch counts one batch of rows into st, when traced.
+func recordBatch(st *trace.OpStats, rows int) {
+	if st != nil {
+		st.Batches.Add(1)
+		st.RowsOut.Add(int64(rows))
+	}
 }
 
 // breaker wraps a child plan behind a materialise boundary: on first
@@ -275,7 +388,8 @@ func (it *renameIter) Close() error               { return it.in.Close() }
 // passing positions of each input batch in a reused selection vector
 // and copies just those tuples into an exactly sized output batch; a
 // batch whose every tuple passes is handed on as it is, since the
-// caller of Next owns it.
+// caller of Next owns it. Filters directly over a stored-table scan do
+// not use it: they run inside the scan (scanSieve).
 type filterIter struct {
 	in   urel.Iterator
 	pred *plan.Compiled

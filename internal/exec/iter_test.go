@@ -8,6 +8,7 @@ import (
 	"maybms/internal/plan"
 	"maybms/internal/schema"
 	"maybms/internal/sql"
+	"maybms/internal/storage"
 	"maybms/internal/types"
 	"maybms/internal/urel"
 	"maybms/internal/ws"
@@ -111,37 +112,42 @@ func TestStreamingMatchesMaterialised(t *testing.T) {
 	}
 }
 
-// countingCatalog implements BatchCatalog and counts tuples handed to
-// the executor, so tests can assert LIMIT stops the scan early.
-type countingCatalog struct {
+// hookCatalog implements BatchCatalog over in-memory relations and
+// calls after with the live-row count of every window its scans read
+// (once the scan's own sieve, if any, has run on it), so tests can
+// watch a scan's progress: that LIMIT stops it early, or that a
+// cancellation lands within a window.
+type hookCatalog struct {
 	*memCatalog
-	pulled int
+	after func(live int)
 }
 
-func (c *countingCatalog) TableBatches(name string, size int) (urel.Iterator, error) {
+func (c *hookCatalog) TableBatches(name string, size int, sieve storage.Sieve) (urel.Iterator, error) {
 	r, err := c.TableRel(name)
 	if err != nil {
 		return nil, err
 	}
-	return &countingIter{in: urel.NewRelIterator(r, size), n: &c.pulled}, nil
+	return storage.ScanRows(r.Tuples, r.Sch, size, &hookSieve{in: sieve, after: c.after}), nil
 }
 
-type countingIter struct {
-	in urel.Iterator
-	n  *int
+// hookSieve runs the sieve a scan was given (if any) on each window,
+// then calls after with the window's live-row count.
+type hookSieve struct {
+	in    storage.Sieve
+	after func(live int)
 }
 
-func (it *countingIter) Sch() *schema.Schema { return it.in.Sch() }
-
-func (it *countingIter) Next() (*urel.Batch, error) {
-	b, err := it.in.Next()
-	if err == nil {
-		*it.n += b.Len()
+func (s *hookSieve) Sift(rows []urel.Tuple, sel []int32) ([]int32, error) {
+	live := len(sel)
+	if s.in != nil {
+		var err error
+		if sel, err = s.in.Sift(rows, sel); err != nil {
+			return nil, err
+		}
 	}
-	return b, err
+	s.after(live)
+	return sel, nil
 }
-
-func (it *countingIter) Close() error { return it.in.Close() }
 
 // TestLimitStopsPullingEarly is the tentpole property: LIMIT k over a
 // large scan touches O(k + batch) tuples, not the whole table.
@@ -152,7 +158,11 @@ func TestLimitStopsPullingEarly(t *testing.T) {
 	for i := 0; i < total; i++ {
 		big.Append(urel.Tuple{Data: schema.Tuple{types.NewInt(int64(i))}})
 	}
-	cat := &countingCatalog{memCatalog: &memCatalog{rels: map[string]*urel.Rel{"big": big}}}
+	pulled := 0
+	cat := &hookCatalog{
+		memCatalog: &memCatalog{rels: map[string]*urel.Rel{"big": big}},
+		after:      func(live int) { pulled += live },
+	}
 	store := ws.NewStore()
 
 	out, err := openSQL(t, cat, store, `select a from big where a >= 2 limit 10`)
@@ -162,17 +172,17 @@ func TestLimitStopsPullingEarly(t *testing.T) {
 	if out.Len() != 10 {
 		t.Fatalf("got %d rows", out.Len())
 	}
-	if cat.pulled > 2*urel.DefaultBatchSize {
-		t.Fatalf("LIMIT 10 pulled %d of %d tuples; want O(batch)", cat.pulled, total)
+	if pulled > 2*urel.DefaultBatchSize {
+		t.Fatalf("LIMIT 10 pulled %d of %d tuples; want O(batch)", pulled, total)
 	}
 
 	// The materialised reference path, by contrast, visits everything.
-	cat.pulled = 0
+	pulled = 0
 	if _, err := runSQL(t, cat, store, `select a from big where a >= 2 limit 10`); err != nil {
 		t.Fatal(err)
 	}
-	if cat.pulled != total {
-		t.Fatalf("materialised path pulled %d tuples; want %d", cat.pulled, total)
+	if pulled != total {
+		t.Fatalf("materialised path pulled %d tuples; want %d", pulled, total)
 	}
 }
 

@@ -18,6 +18,7 @@ import (
 	"maybms/internal/exec/parallel"
 	"maybms/internal/lineage"
 	"maybms/internal/plan"
+	"maybms/internal/storage"
 	"maybms/internal/urel"
 )
 
@@ -31,7 +32,7 @@ import (
 // snapshot's storage is frozen.
 type PartitionCatalog interface {
 	BatchCatalog
-	TablePartBatches(name string, part, nparts, size int) (urel.Iterator, error)
+	TablePartBatches(name string, part, nparts, size int, sieve storage.Sieve) (urel.Iterator, error)
 	// TableLen reports the table's live row count, so tiny tables can
 	// skip the exchange overhead.
 	TableLen(name string) (int, error)
@@ -244,7 +245,7 @@ func (e *Executor) openPart(n plan.Node, pc PartitionCatalog, shared map[*plan.S
 func (e *Executor) openPartRaw(n plan.Node, pc PartitionCatalog, shared map[*plan.SemiJoinIn]map[string][]lineage.Cond, part, nparts int) (urel.Iterator, error) {
 	switch n := n.(type) {
 	case *plan.Scan:
-		it, err := pc.TablePartBatches(n.Table, part, nparts, urel.DefaultBatchSize)
+		it, err := pc.TablePartBatches(n.Table, part, nparts, urel.DefaultBatchSize, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -256,6 +257,13 @@ func (e *Executor) openPartRaw(n plan.Node, pc PartitionCatalog, shared map[*pla
 		}
 		return &renameIter{in: in, sch: n.Sch()}, nil
 	case *plan.Filter:
+		if scan, sieve := e.scanSieve(n); scan != nil {
+			it, err := pc.TablePartBatches(scan.Table, part, nparts, urel.DefaultBatchSize, sieve)
+			if err != nil {
+				return nil, err
+			}
+			return &renameIter{in: it, sch: n.Sch()}, nil
+		}
 		in, err := e.openPart(n.In, pc, shared, part, nparts)
 		if err != nil {
 			return nil, err

@@ -111,13 +111,13 @@ func (e *Engine) Scan(fn func(id storage.RowID, tuple urel.Tuple) error) error {
 }
 
 // Batches implements storage.Engine.
-func (e *Engine) Batches(sch *schema.Schema, size int) urel.Iterator {
-	return e.heap.Batches(sch, size)
+func (e *Engine) Batches(sch *schema.Schema, size int, sieve storage.Sieve) urel.Iterator {
+	return e.heap.Batches(sch, size, sieve)
 }
 
 // PartBatches implements storage.Engine.
-func (e *Engine) PartBatches(sch *schema.Schema, part, nparts, size int) urel.Iterator {
-	return e.heap.PartBatches(sch, part, nparts, size)
+func (e *Engine) PartBatches(sch *schema.Schema, part, nparts, size int, sieve storage.Sieve) urel.Iterator {
+	return e.heap.PartBatches(sch, part, nparts, size, sieve)
 }
 
 // Snapshot implements storage.Engine: MVCC views come straight from

@@ -6,8 +6,7 @@ import (
 )
 
 // Engine is the pluggable row store behind a Table. A Table is a thin
-// facade — schema type checking and hash-index maintenance — over an
-// Engine that owns the rows themselves: stable row ids, tombstones,
+// facade — schema type checking — over an Engine that owns the rows themselves: stable row ids, tombstones,
 // batched scans, and MVCC snapshots. Two implementations exist: Heap
 // (the original in-memory copy-on-write store) and disk.Engine (a
 // WAL-durable backend that mirrors the heap in memory and logs every
@@ -29,7 +28,7 @@ type Engine interface {
 	// range).
 	Get(id RowID) (urel.Tuple, bool)
 	// MarkDead sets a row's tombstone flag to dead, returning the
-	// tuple so the caller can maintain indexes and undo logs. It is an
+	// tuple so the caller can maintain undo logs. It is an
 	// error to kill a dead row or resurrect a live one.
 	MarkDead(id RowID, dead bool) (urel.Tuple, error)
 	// Replace overwrites a live row in place, returning the previous
@@ -43,13 +42,14 @@ type Engine interface {
 	// error stops the scan.
 	Scan(fn func(id RowID, tuple urel.Tuple) error) error
 	// Batches returns a pull iterator over the live rows in insertion
-	// order. Valid only while the engine lock covering the table is
-	// held; Snapshot(...).Batches streams without any lock.
-	Batches(sch *schema.Schema, size int) urel.Iterator
+	// order, keeping only the rows sieve keeps (nil keeps all). Valid
+	// only while the engine lock covering the table is held;
+	// Snapshot(...).Batches streams without any lock.
+	Batches(sch *schema.Schema, size int, sieve Sieve) urel.Iterator
 	// PartBatches returns the part-th of nparts contiguous row-range
 	// shards; concatenating all partitions in order reproduces Batches
 	// exactly.
-	PartBatches(sch *schema.Schema, part, nparts, size int) urel.Iterator
+	PartBatches(sch *schema.Schema, part, nparts, size int, sieve Sieve) urel.Iterator
 	// Snapshot returns an immutable point-in-time view of the rows.
 	Snapshot(name string, sch *schema.Schema) *Snapshot
 

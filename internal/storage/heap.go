@@ -2,7 +2,6 @@ package storage
 
 import (
 	"fmt"
-	"io"
 	"sync/atomic"
 
 	"maybms/internal/schema"
@@ -169,14 +168,15 @@ func (h *Heap) Scan(fn func(id RowID, tuple urel.Tuple) error) error {
 
 // Batches returns a pull iterator over the live rows in insertion
 // order, handing out up to size tuples per batch under the given
-// output schema. Tuple structs are copied out of the heap batch by
-// batch, so tuples already handed out cannot be reached by later
-// in-place row updates; the Data and Cond slices stay shared and
-// immutable by convention. The iterator captures the heap's current
-// extent at this call — it is valid only while the caller holds the
-// engine lock covering this table.
-func (h *Heap) Batches(sch *schema.Schema, size int) urel.Iterator {
-	return newTableIter(h.rows, h.dead, sch, size)
+// output schema, keeping only the rows sieve keeps (nil keeps all).
+// Tuple structs are copied out of the heap batch by batch, so tuples
+// already handed out cannot be reached by later in-place row updates;
+// the Data and Cond slices stay shared and immutable by convention.
+// The iterator captures the heap's current extent at this call — it is
+// valid only while the caller holds the engine lock covering this
+// table.
+func (h *Heap) Batches(sch *schema.Schema, size int, sieve Sieve) urel.Iterator {
+	return newHeapScan(h.rows, h.dead, sch, size, sieve)
 }
 
 // PartBatches returns a pull iterator over the part-th of nparts fixed
@@ -185,9 +185,9 @@ func (h *Heap) Batches(sch *schema.Schema, size int) urel.Iterator {
 // Concatenating every partition's output in partition order yields
 // exactly the rows of Batches in the same order, which is what lets a
 // parallel scan merge deterministically.
-func (h *Heap) PartBatches(sch *schema.Schema, part, nparts, size int) urel.Iterator {
+func (h *Heap) PartBatches(sch *schema.Schema, part, nparts, size int, sieve Sieve) urel.Iterator {
 	lo, hi := PartRange(len(h.rows), part, nparts)
-	return newTableIter(h.rows[lo:hi], h.dead[lo:hi], sch, size)
+	return newHeapScan(h.rows[lo:hi], h.dead[lo:hi], sch, size, sieve)
 }
 
 // Snapshot returns an immutable view of the heap's current state under
@@ -279,46 +279,4 @@ func PartRange(n, part, nparts int) (lo, hi int) {
 		hi++
 	}
 	return lo, hi
-}
-
-func newTableIter(rows []urel.Tuple, dead []bool, sch *schema.Schema, size int) *tableIter {
-	if size <= 0 {
-		size = urel.DefaultBatchSize
-	}
-	return &tableIter{rows: rows, dead: dead, sch: sch, size: size}
-}
-
-// tableIter walks a captured row heap, skipping tombstones.
-type tableIter struct {
-	rows []urel.Tuple
-	dead []bool
-	sch  *schema.Schema
-	size int
-	pos  int
-	done bool
-}
-
-func (it *tableIter) Sch() *schema.Schema { return it.sch }
-
-func (it *tableIter) Next() (*urel.Batch, error) {
-	if it.done {
-		return nil, io.EOF
-	}
-	b := &urel.Batch{Tuples: make([]urel.Tuple, 0, it.size)}
-	for ; it.pos < len(it.rows) && len(b.Tuples) < it.size; it.pos++ {
-		if it.dead[it.pos] {
-			continue
-		}
-		b.Tuples = append(b.Tuples, it.rows[it.pos])
-	}
-	if len(b.Tuples) == 0 {
-		it.done = true
-		return nil, io.EOF
-	}
-	return b, nil
-}
-
-func (it *tableIter) Close() error {
-	it.done = true
-	return nil
 }

@@ -2,7 +2,6 @@ package storage
 
 import (
 	"fmt"
-	"io"
 	"sort"
 	"sync/atomic"
 
@@ -221,24 +220,18 @@ func (o *Overlay) Scan(fn func(id RowID, tuple urel.Tuple) error) error {
 }
 
 // Batches returns a pull iterator over the composed view's live rows
-// in insertion order.
-func (o *Overlay) Batches(sch *schema.Schema, size int) urel.Iterator {
-	return o.iter(sch, 0, o.size(), size)
+// in insertion order, keeping only the rows sieve keeps (nil keeps
+// all).
+func (o *Overlay) Batches(sch *schema.Schema, size int, sieve Sieve) urel.Iterator {
+	return newScanIter(&overlayWindows{o: o, end: o.size()}, sch, size, sieve)
 }
 
 // PartBatches returns the part-th of nparts contiguous row-range
 // shards of the composed view; concatenating all partitions in order
 // reproduces Batches exactly.
-func (o *Overlay) PartBatches(sch *schema.Schema, part, nparts, size int) urel.Iterator {
+func (o *Overlay) PartBatches(sch *schema.Schema, part, nparts, size int, sieve Sieve) urel.Iterator {
 	lo, hi := PartRange(o.size(), part, nparts)
-	return o.iter(sch, lo, hi, size)
-}
-
-func (o *Overlay) iter(sch *schema.Schema, lo, hi, size int) urel.Iterator {
-	if size <= 0 {
-		size = urel.DefaultBatchSize
-	}
-	return &overlayIter{o: o, sch: sch, pos: lo, end: hi, size: size}
+	return newScanIter(&overlayWindows{o: o, pos: lo, end: hi}, sch, size, sieve)
 }
 
 // Snapshot materialises the composed view into an ordinary immutable
@@ -331,38 +324,25 @@ func (o *Overlay) Appended(fn func(tuple urel.Tuple) error) error {
 	return nil
 }
 
-// overlayIter walks a contiguous index range of the composed view,
-// skipping tombstones.
-type overlayIter struct {
-	o    *Overlay
-	sch  *schema.Schema
-	pos  int
-	end  int
-	size int
-	done bool
+// overlayWindows reads a contiguous index range of the composed view,
+// skipping tombstones. The composed rows do not lie in one array (an
+// update lives in mods, an insert in added), so each window's live
+// rows are gathered into a buffer the source reuses.
+type overlayWindows struct {
+	o   *Overlay
+	pos int
+	end int
+	buf []urel.Tuple
 }
 
-func (it *overlayIter) Sch() *schema.Schema { return it.sch }
-
-func (it *overlayIter) Next() (*urel.Batch, error) {
-	if it.done {
-		return nil, io.EOF
-	}
-	b := &urel.Batch{Tuples: make([]urel.Tuple, 0, it.size)}
-	for ; it.pos < it.end && len(b.Tuples) < it.size; it.pos++ {
-		if it.o.deadAt(it.pos) {
+func (w *overlayWindows) window(sel []int32, size int) ([]urel.Tuple, []int32) {
+	w.buf = w.buf[:0]
+	for ; w.pos < w.end && len(w.buf) < size; w.pos++ {
+		if w.o.deadAt(w.pos) {
 			continue
 		}
-		b.Tuples = append(b.Tuples, it.o.rowAt(it.pos))
+		sel = append(sel, int32(len(w.buf)))
+		w.buf = append(w.buf, w.o.rowAt(w.pos))
 	}
-	if len(b.Tuples) == 0 {
-		it.done = true
-		return nil, io.EOF
-	}
-	return b, nil
-}
-
-func (it *overlayIter) Close() error {
-	it.done = true
-	return nil
+	return w.buf, sel
 }

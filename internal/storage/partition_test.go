@@ -55,14 +55,14 @@ func TestPartBatchesConcatEqualsBatches(t *testing.T) {
 			}
 		}
 	}
-	serial, err := urel.Drain(tbl.Batches(nil, 64))
+	serial, err := urel.Drain(tbl.Batches(nil, 64, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, nparts := range []int{1, 2, 3, 8, 600} {
 		var got []urel.Tuple
 		for p := 0; p < nparts; p++ {
-			part, err := urel.Drain(tbl.PartBatches(nil, p, nparts, 64))
+			part, err := urel.Drain(tbl.PartBatches(nil, p, nparts, 64, nil))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -85,7 +85,7 @@ func TestPartBatchesConcatEqualsBatches(t *testing.T) {
 	tbl.Insert(urel.Tuple{Data: schema.Tuple{types.NewInt(9999)}})
 	var got []urel.Tuple
 	for p := 0; p < 4; p++ {
-		part, err := urel.Drain(snap.PartBatches(nil, p, 4, 64))
+		part, err := urel.Drain(snap.PartBatches(nil, p, 4, 64, nil))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -60,23 +60,23 @@ func (s *Snapshot) Certain() bool { return s.uncert == 0 }
 // Batches returns a pull iterator over the snapshot's live rows in
 // insertion order, exactly like Table.Batches — except it is valid
 // without any lock, indefinitely.
-func (s *Snapshot) Batches(sch *schema.Schema, size int) urel.Iterator {
+func (s *Snapshot) Batches(sch *schema.Schema, size int, sieve Sieve) urel.Iterator {
 	if sch == nil {
 		sch = s.sch
 	}
-	return newTableIter(s.rows, s.dead, sch, size)
+	return newHeapScan(s.rows, s.dead, sch, size, sieve)
 }
 
 // PartBatches returns a pull iterator over the part-th of nparts fixed
 // row-range shards of the frozen heap, exactly like Table.PartBatches
 // — except it is valid without any lock, indefinitely. Concatenating
 // the partitions in partition order reproduces Batches exactly.
-func (s *Snapshot) PartBatches(sch *schema.Schema, part, nparts, size int) urel.Iterator {
+func (s *Snapshot) PartBatches(sch *schema.Schema, part, nparts, size int, sieve Sieve) urel.Iterator {
 	if sch == nil {
 		sch = s.sch
 	}
 	lo, hi := PartRange(len(s.rows), part, nparts)
-	return newTableIter(s.rows[lo:hi], s.dead[lo:hi], sch, size)
+	return newHeapScan(s.rows[lo:hi], s.dead[lo:hi], sch, size, sieve)
 }
 
 // ToRel materialises the snapshot's live rows as a U-relation (shared

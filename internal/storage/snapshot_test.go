@@ -40,7 +40,7 @@ func TestSnapshotImmuneToWrites(t *testing.T) {
 
 	snap := tb.Snapshot()
 	want := []int64{1, 2}
-	if got := drainData(t, snap.Batches(nil, 1)); !reflect.DeepEqual(got, want) {
+	if got := drainData(t, snap.Batches(nil, 1, nil)); !reflect.DeepEqual(got, want) {
 		t.Fatalf("snapshot rows %v, want %v", got, want)
 	}
 	if snap.Len() != 2 || !snap.Certain() {
@@ -64,7 +64,7 @@ func TestSnapshotImmuneToWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if got := drainData(t, snap.Batches(nil, 2)); !reflect.DeepEqual(got, want) {
+	if got := drainData(t, snap.Batches(nil, 2, nil)); !reflect.DeepEqual(got, want) {
 		t.Errorf("snapshot drifted under writes: %v, want %v", got, want)
 	}
 	if snap.Len() != 2 || !snap.Certain() {
@@ -75,7 +75,7 @@ func TestSnapshotImmuneToWrites(t *testing.T) {
 	}
 
 	// The live table reflects all of it: {100(uncertain), 3, 4}.
-	live := drainData(t, tb.Batches(nil, 0))
+	live := drainData(t, tb.Batches(nil, 0, nil))
 	if !reflect.DeepEqual(live, []int64{100, 3, 4}) {
 		t.Errorf("live rows %v, want [100 3 4]", live)
 	}
@@ -87,10 +87,10 @@ func TestSnapshotImmuneToWrites(t *testing.T) {
 	// one each keep their own view.
 	snap2 := tb.Snapshot()
 	tb.Truncate()
-	if got := drainData(t, snap2.Batches(nil, 0)); !reflect.DeepEqual(got, []int64{100, 3, 4}) {
+	if got := drainData(t, snap2.Batches(nil, 0, nil)); !reflect.DeepEqual(got, []int64{100, 3, 4}) {
 		t.Errorf("second snapshot drifted after truncate: %v", got)
 	}
-	if got := drainData(t, snap.Batches(nil, 0)); !reflect.DeepEqual(got, want) {
+	if got := drainData(t, snap.Batches(nil, 0, nil)); !reflect.DeepEqual(got, want) {
 		t.Errorf("first snapshot drifted after truncate: %v", got)
 	}
 	if tb.Len() != 0 {
@@ -133,7 +133,7 @@ func TestSnapshotSharingIsLazy(t *testing.T) {
 	if h.shared.Load() {
 		t.Error("in-place write left the storage shared")
 	}
-	if got := drainData(t, snap.Batches(nil, 0)); len(got) != 10 || got[0] != 0 {
+	if got := drainData(t, snap.Batches(nil, 0, nil)); len(got) != 10 || got[0] != 0 {
 		t.Errorf("snapshot sees %d rows starting at %v, want 10 starting at 0", len(got), got[0])
 	}
 }
@@ -169,7 +169,7 @@ func TestReleasedSnapshotSkipsCopy(t *testing.T) {
 	if &h.rows[0] == before {
 		t.Error("write mutated arrays aliased by an open snapshot")
 	}
-	if got := drainData(t, snap2.Batches(nil, 0)); len(got) != 4 {
+	if got := drainData(t, snap2.Batches(nil, 0, nil)); len(got) != 4 {
 		t.Errorf("open snapshot sees %d rows, want 4", len(got))
 	}
 }

@@ -1,6 +1,6 @@
 // Package storage implements the row store backing the database:
 // tables of conditioned tuples with tombstone deletes, stable row ids,
-// hash indexes, and type checking against the table schema, over a
+// and type checking against the table schema, over a
 // pluggable Engine (in-memory Heap or the WAL-durable disk backend).
 // The store is deliberately simple — MayBMS's point is that a purely
 // relational representation makes updates, concurrency control, and
@@ -19,13 +19,12 @@ import (
 // RowID identifies a row within a table for its whole lifetime.
 type RowID int64
 
-// Table is a fixed-schema table: schema type checking and hash-index
-// maintenance layered over a storage Engine that owns the rows.
+// Table is a fixed-schema table: schema type checking layered over a
+// storage Engine that owns the rows.
 type Table struct {
-	name    string
-	sch     *schema.Schema
-	eng     Engine
-	indexes map[string]*HashIndex
+	name string
+	sch  *schema.Schema
+	eng  Engine
 }
 
 // NewTable creates an empty table on the in-memory heap engine.
@@ -36,7 +35,7 @@ func NewTable(name string, sch *schema.Schema) *Table {
 // NewTableWith creates a table over an explicit storage engine, which
 // may already hold rows (recovery).
 func NewTableWith(name string, sch *schema.Schema, eng Engine) *Table {
-	return &Table{name: name, sch: sch, eng: eng, indexes: map[string]*HashIndex{}}
+	return &Table{name: name, sch: sch, eng: eng}
 }
 
 // Name returns the table name.
@@ -91,9 +90,6 @@ func (t *Table) Insert(tuple urel.Tuple) (RowID, error) {
 	if err != nil {
 		return -1, fmt.Errorf("table %s: %w", t.name, err)
 	}
-	for _, ix := range t.indexes {
-		ix.add(tuple.Data, id)
-	}
 	return id, nil
 }
 
@@ -108,20 +104,13 @@ func (t *Table) Delete(id RowID) (urel.Tuple, error) {
 	if err != nil {
 		return urel.Tuple{}, fmt.Errorf("table %s: %w", t.name, err)
 	}
-	for _, ix := range t.indexes {
-		ix.remove(old.Data, id)
-	}
 	return old, nil
 }
 
 // Undelete resurrects a tombstoned row (transaction rollback).
 func (t *Table) Undelete(id RowID) error {
-	tuple, err := t.eng.MarkDead(id, false)
-	if err != nil {
+	if _, err := t.eng.MarkDead(id, false); err != nil {
 		return fmt.Errorf("table %s: %w", t.name, err)
-	}
-	for _, ix := range t.indexes {
-		ix.add(tuple.Data, id)
 	}
 	return nil
 }
@@ -137,10 +126,6 @@ func (t *Table) Update(id RowID, tuple urel.Tuple) (urel.Tuple, error) {
 	if err != nil {
 		return urel.Tuple{}, fmt.Errorf("table %s: %w", t.name, err)
 	}
-	for _, ix := range t.indexes {
-		ix.remove(old.Data, id)
-		ix.add(tuple.Data, id)
-	}
 	return old, nil
 }
 
@@ -150,9 +135,6 @@ func (t *Table) Truncate() ([]RowWithID, error) {
 	out, err := t.eng.Truncate()
 	if err != nil {
 		return nil, fmt.Errorf("table %s: %w", t.name, err)
-	}
-	for _, ix := range t.indexes {
-		ix.clear()
 	}
 	return out, nil
 }
@@ -174,12 +156,14 @@ func (t *Table) Scan(fn func(id RowID, tuple urel.Tuple) error) error {
 // output schema (the table's own schema when sch is nil). The iterator
 // captures the store's current extent at this call — it is valid only
 // while the caller holds the engine lock covering this table
-// (Snapshot().Batches streams without any lock).
-func (t *Table) Batches(sch *schema.Schema, size int) urel.Iterator {
+// (Snapshot().Batches streams without any lock). sieve, when non-nil,
+// is a selection run on the rows in place: only the rows it keeps are
+// copied into batches.
+func (t *Table) Batches(sch *schema.Schema, size int, sieve Sieve) urel.Iterator {
 	if sch == nil {
 		sch = t.sch
 	}
-	return t.eng.Batches(sch, size)
+	return t.eng.Batches(sch, size, sieve)
 }
 
 // PartBatches returns a pull iterator over the part-th of nparts fixed
@@ -188,11 +172,11 @@ func (t *Table) Batches(sch *schema.Schema, size int) urel.Iterator {
 // Concatenating every partition's output in partition order yields
 // exactly the rows of Batches in the same order, which is what lets a
 // parallel scan merge deterministically. Validity follows Batches.
-func (t *Table) PartBatches(sch *schema.Schema, part, nparts, size int) urel.Iterator {
+func (t *Table) PartBatches(sch *schema.Schema, part, nparts, size int, sieve Sieve) urel.Iterator {
 	if sch == nil {
 		sch = t.sch
 	}
-	return t.eng.PartBatches(sch, part, nparts, size)
+	return t.eng.PartBatches(sch, part, nparts, size, sieve)
 }
 
 // Snapshot returns an immutable view of the table's current state.
@@ -216,19 +200,10 @@ func (t *Table) ToRel() *urel.Rel {
 // persistence. Callers must treat it as read-only.
 func (t *Table) Rows() ([]urel.Tuple, []bool) { return t.eng.Rows() }
 
-// LoadRows replaces table contents during database load and rebuilds
-// any indexes.
+// LoadRows replaces table contents during database load.
 func (t *Table) LoadRows(rows []urel.Tuple, dead []bool) error {
 	if err := t.eng.LoadRows(rows, dead); err != nil {
 		return fmt.Errorf("table %s: %w", t.name, err)
-	}
-	for name, ix := range t.indexes {
-		rebuilt := NewHashIndex(ix.cols)
-		t.Scan(func(id RowID, tuple urel.Tuple) error {
-			rebuilt.add(tuple.Data, id)
-			return nil
-		})
-		t.indexes[name] = rebuilt
 	}
 	return nil
 }

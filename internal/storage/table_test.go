@@ -147,37 +147,6 @@ func TestTruncateAndScan(t *testing.T) {
 	}
 }
 
-func TestHashIndex(t *testing.T) {
-	tb := testTable()
-	tb.Insert(row(1, "x"))
-	id2, _ := tb.Insert(row(2, "x"))
-	tb.Insert(row(3, "y"))
-	ix := tb.CreateIndex("by_b", []int{1})
-	hits := ix.Lookup(schema.Tuple{types.NewText("x")})
-	if len(hits) != 2 {
-		t.Errorf("lookup x: %v", hits)
-	}
-	// Index tracks mutations.
-	tb.Delete(id2)
-	if got := ix.Lookup(schema.Tuple{types.NewText("x")}); len(got) != 1 {
-		t.Errorf("after delete: %v", got)
-	}
-	idNew, _ := tb.Insert(row(4, "y"))
-	if got := ix.Lookup(schema.Tuple{types.NewText("y")}); len(got) != 2 {
-		t.Errorf("after insert: %v", got)
-	}
-	tb.Update(idNew, row(4, "z"))
-	if got := ix.Lookup(schema.Tuple{types.NewText("z")}); len(got) != 1 {
-		t.Errorf("after update: %v", got)
-	}
-	if _, ok := tb.Index("by_b"); !ok {
-		t.Error("index lookup by name")
-	}
-	if _, ok := tb.Index("nope"); ok {
-		t.Error("missing index")
-	}
-}
-
 func TestToRelAndLoadRows(t *testing.T) {
 	tb := testTable()
 	tb.Insert(row(1, "a"))
@@ -189,13 +158,11 @@ func TestToRelAndLoadRows(t *testing.T) {
 	}
 	rows, dead := tb.Rows()
 	tb2 := testTable()
-	tb2.CreateIndex("by_b", []int{1})
 	tb2.LoadRows(rows, dead)
 	if tb2.Len() != 1 {
 		t.Errorf("loadrows len: %d", tb2.Len())
 	}
-	ix, _ := tb2.Index("by_b")
-	if got := ix.Lookup(schema.Tuple{types.NewText("a")}); len(got) != 1 {
-		t.Errorf("index rebuilt: %v", got)
+	if got, ok := tb2.Get(0); !ok || got.Data[1].Text() != "a" {
+		t.Errorf("loadrows row 0: %v %v", got, ok)
 	}
 }
